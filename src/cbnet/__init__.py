@@ -40,7 +40,6 @@ from .composite import (
     apply_state,
     build_cbnet,
     cbnet_forward,
-    composite_apply,
     connection_keys,
     direct_add_keys,
     flop_count,
@@ -58,12 +57,8 @@ from .task import (
     build_head,
     evaluate,
     gen_dataset,
-    head_forward,
-    load_dataset,
-    loss,
     loss_and_grads,
     run_training,
-    save_dataset,
     train,
 )
 from .viz import channel_mean, heatmap_channel_mean, normalize_gray, write_pgm

@@ -64,27 +64,85 @@ class BackboneSpec:
         h, w = self.image_size
         return h >> l, w >> l
 
+    def check_image(self, image: Tensor4):
+        _, c, h, w = image.dims
+        if c != self.in_channels or (h, w) != self.image_size:
+            raise ShapeError(
+                f"image dims {image.dims} do not match spec "
+                f"({self.in_channels}, {self.image_size})")
+
 
 TOY_SPEC = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
                         image_size=(16, 16))
 
 
-def _conv_named(prefix, p: ConvParams):
-    yield f"{prefix}.weight", p.weight.data, p.weight.grad
-    yield f"{prefix}.bias", p.bias, p.bias_grad
+def _learnables(p):
+    if isinstance(p, ConvParams):
+        return (("weight", p.weight.data, p.weight.grad), ("bias", p.bias, p.bias_grad))
+    return (("gamma", p.gamma, p.gamma_grad), ("beta", p.beta, p.beta_grad))
 
 
-def _bn_named(prefix, p: BatchNormParams):
-    yield f"{prefix}.gamma", p.gamma, p.gamma_grad
-    yield f"{prefix}.beta", p.beta, p.beta_grad
+class Module:
+    """A named tree whose leaves are conv and batchnorm layers.
+
+    Subclasses list their (name, child) pairs in `children()`, a child being
+    a layer or another Module.  Every parameter walk derives from that one
+    list, so the dotted names ("b2.stage3.bn1.gamma") and the weight-file
+    order are fixed in one place.
+    """
+
+    def children(self):
+        raise NotImplementedError
+
+    def _blocks(self, prefix=""):
+        """One [(dotted name, params), ...] list per module that owns layers."""
+        own = []
+        for name, child in self.children():
+            if isinstance(child, Module):
+                yield from child._blocks(f"{prefix}{name}.")
+            else:
+                own.append((prefix + name, child.params))
+        if own:
+            yield own
+
+    def learnables(self):
+        """Every (name, value, grad) triple; under sharing the same arrays
+        appear once per namespace."""
+        for block in self._blocks():
+            for name, p in block:
+                for field, value, grad in _learnables(p):
+                    yield f"{name}.{field}", value, grad
+
+    def unique_learnables(self):
+        seen = set()
+        for name, value, grad in self.learnables():
+            if id(value) not in seen:
+                seen.add(id(value))
+                yield name, value, grad
+
+    def state(self):
+        """(name, array) pairs of everything a weight file holds: in each
+        block the learnables first, then the batchnorm running stats."""
+        for block in self._blocks():
+            for name, p in block:
+                for field, value, _ in _learnables(p):
+                    yield f"{name}.{field}", value
+            for name, p in block:
+                if isinstance(p, BatchNormParams):
+                    yield f"{name}.running_mean", p.running_mean
+                    yield f"{name}.running_var", p.running_var
+
+    def bn_params(self):
+        """Every batchnorm parameter set, shared ones once."""
+        seen = set()
+        for block in self._blocks():
+            for _, p in block:
+                if isinstance(p, BatchNormParams) and id(p) not in seen:
+                    seen.add(id(p))
+                    yield p
 
 
-def _bn_state(prefix, p: BatchNormParams):
-    yield f"{prefix}.running_mean", p.running_mean
-    yield f"{prefix}.running_var", p.running_var
-
-
-class Stem:
+class Stem(Module):
     """3x3 stride-1 conv + batchnorm + relu; keeps the input spatial size."""
 
     def __init__(self, conv: ConvParams, bn: BatchNormParams):
@@ -96,20 +154,11 @@ class Stem:
         x = tape.run(self.bn, x)
         return tape.run(RELU, x)
 
-    def learnables(self):
-        yield from _conv_named("conv", self.conv.params)
-        yield from _bn_named("bn", self.bn.params)
-
-    def state(self):
-        for name, value, _ in self.learnables():
-            yield name, value
-        yield from _bn_state("bn", self.bn.params)
-
-    def bn_params(self):
-        yield self.bn.params
+    def children(self):
+        return [("conv", self.conv), ("bn", self.bn)]
 
 
-class Stage:
+class Stage(Module):
     """One stride-2 downsample conv followed by a two-conv residual block."""
 
     def __init__(self, down, down_bn, conv1, bn1, conv2, bn2):
@@ -132,28 +181,13 @@ class Stage:
         h = tape.run(ADD, h, x)
         return tape.run(RELU, h)
 
-    def learnables(self):
-        yield from _conv_named("down.conv", self.down.params)
-        yield from _bn_named("down.bn", self.down_bn.params)
-        yield from _conv_named("conv1", self.conv1.params)
-        yield from _bn_named("bn1", self.bn1.params)
-        yield from _conv_named("conv2", self.conv2.params)
-        yield from _bn_named("bn2", self.bn2.params)
-
-    def state(self):
-        for name, value, _ in self.learnables():
-            yield name, value
-        yield from _bn_state("down.bn", self.down_bn.params)
-        yield from _bn_state("bn1", self.bn1.params)
-        yield from _bn_state("bn2", self.bn2.params)
-
-    def bn_params(self):
-        yield self.down_bn.params
-        yield self.bn1.params
-        yield self.bn2.params
+    def children(self):
+        return [("down.conv", self.down), ("down.bn", self.down_bn),
+                ("conv1", self.conv1), ("bn1", self.bn1),
+                ("conv2", self.conv2), ("bn2", self.bn2)]
 
 
-class Backbone:
+class Backbone(Module):
     """Stem plus stages first_stage..L.  A truncated instance (first_stage > 1)
     has no stem and is only usable inside a composite network that feeds it."""
 
@@ -180,11 +214,7 @@ class Backbone:
         """Chain the stem and every stage; returns all stage outputs x^1..x^L."""
         if self.first_stage != 1:
             raise ConfigError("truncated backbone cannot run from an image")
-        n, c, h, w = image.dims
-        if c != self.spec.in_channels or (h, w) != self.spec.image_size:
-            raise ShapeError(
-                f"image dims {image.dims} do not match spec "
-                f"({self.spec.in_channels}, {self.spec.image_size})")
+        self.spec.check_image(image)
         x = self.stem.run(tape, image)
         outs = []
         for l in self.stage_numbers():
@@ -192,27 +222,9 @@ class Backbone:
             outs.append(x)
         return outs
 
-    def learnables(self):
-        if self.stem is not None:
-            for name, value, grad in self.stem.learnables():
-                yield f"stem.{name}", value, grad
-        for l in self.stage_numbers():
-            for name, value, grad in self.stage(l).learnables():
-                yield f"stage{l}.{name}", value, grad
-
-    def state(self):
-        if self.stem is not None:
-            for name, value in self.stem.state():
-                yield f"stem.{name}", value
-        for l in self.stage_numbers():
-            for name, value in self.stage(l).state():
-                yield f"stage{l}.{name}", value
-
-    def bn_params(self):
-        if self.stem is not None:
-            yield from self.stem.bn_params()
-        for l in self.stage_numbers():
-            yield from self.stage(l).bn_params()
+    def children(self):
+        stem = [("stem", self.stem)] if self.stem is not None else []
+        return stem + [(f"stage{l}", self.stage(l)) for l in self.stage_numbers()]
 
 
 def _init_conv(rng, c_in, c_out, k, stride, pad):

@@ -29,16 +29,19 @@ from .composite import (
     state_dict,
 )
 from .engine import ConfigError, ShapeError, Tensor4
-from .task import build_head, evaluate, gen_dataset, run_training, train
+from .task import (
+    DATA_SEED,
+    HEAD_SEED,
+    NET_SEED,
+    SGD_SEED,
+    build_task,
+    evaluate,
+    gen_dataset,
+    sub_seed,
+    train,
+)
 from .viz import heatmap_channel_mean
 from .weights import WeightFormatError, load_weights, save_weights
-
-# one user-facing seed fans out into fixed roles
-NET_SEED, HEAD_SEED, DATA_SEED, SGD_SEED = 0, 1, 2, 3
-
-
-def sub_seed(seed, role):
-    return int(seed) + role
 
 
 def _model_flags(p):
@@ -113,14 +116,10 @@ def cmd_train(args):
     parent = os.path.dirname(weights_out) or "."
     if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise ConfigError(f"cannot write weights to {weights_out!r}")
+    net, head, dataset = build_task(cfg, args.seed, args.n)
     if args.weights_in:
-        net = build_cbnet(cfg, sub_seed(args.seed, NET_SEED))
-        head = build_head(cfg.spec, sub_seed(args.seed, HEAD_SEED))
         _load_into(net, head, args.weights_in)
-        dataset = gen_dataset(sub_seed(args.seed, DATA_SEED), args.n)
-        log = train(net, head, dataset, args.steps, args.lr, sub_seed(args.seed, SGD_SEED))
-    else:
-        net, head, _, log = run_training(cfg, args.seed, args.steps, args.lr, args.n)
+    log = train(net, head, dataset, args.steps, args.lr, sub_seed(args.seed, SGD_SEED))
     csv_path = os.path.join(args.out, "loss.csv")
     with open(csv_path, "w") as fh:
         fh.write("step,loss\n")
@@ -135,12 +134,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _config(args)
-    net = build_cbnet(cfg, sub_seed(args.seed, NET_SEED))
-    head = build_head(cfg.spec, sub_seed(args.seed, HEAD_SEED))
+    net, head, dataset = build_task(_config(args), args.seed, args.n)
     if args.weights_in:
         _load_into(net, head, args.weights_in)
-    dataset = gen_dataset(sub_seed(args.seed, DATA_SEED), args.n)
     metrics = evaluate(net, head, dataset)
     print(f"cell_f1={metrics['cell_f1']!r} class_accuracy={metrics['class_accuracy']!r}")
     return 0

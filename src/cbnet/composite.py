@@ -11,11 +11,17 @@ composite style:
     allc  stage l gets the previous backbone's stage l+1      (absent at l=L)
     dhlc  stage l gets every previous-backbone stage i >= l   (one g per (l, i))
 
+That rule lives in one place, the link table: one (k, l, i) triple per
+term, in forward order, meaning "stage l of backbone k adds the previous
+backbone's stage-i output".  `CBNet` builds it from its config, and the
+forward pass, the build, the key lists and the FLOP count all read it.
+
 Only the last backbone's stage outputs (stages 2..L) are exposed as the
 feature pyramid.  Weight sharing points every backbone at one parameter
 store while composite connections stay per-connection; the accelerated
 variant (two backbones) drops the assistant's stem and first two stages
-and feeds its stage 3 from the lead's stage-2 output.
+and feeds its stage 3 from the lead's stage-2 output, so its table links
+lead stages 3..L to assistant stages 3..L only.
 """
 
 from __future__ import annotations
@@ -29,9 +35,7 @@ from . import engine
 from .backbone import (
     Backbone,
     BackboneSpec,
-    _bn_named,
-    _bn_state,
-    _conv_named,
+    Module,
     _init_bn,
     _init_conv,
     build_backbone,
@@ -80,7 +84,7 @@ class CBNetConfig:
                 raise ConfigError("accelerated variant needs at least 3 stages")
 
 
-class CompositeConnection:
+class CompositeConnection(Module):
     """g(.): 1x1 channel-reducing conv + batchnorm + nearest resize to the
     spatial size of the tensor the result is added to."""
 
@@ -100,22 +104,8 @@ class CompositeConnection:
         x = tape.run(self.bn, x)
         return tape.run(self.upsample, x)
 
-    def learnables(self):
-        yield from _conv_named("conv", self.conv.params)
-        yield from _bn_named("bn", self.bn.params)
-
-    def state(self):
-        for name, value, _ in self.learnables():
-            yield name, value
-        yield from _bn_state("bn", self.bn.params)
-
-    def bn_params(self):
-        yield self.bn.params
-
-
-def composite_apply(g: CompositeConnection, source: Tensor4) -> Tensor4:
-    """Functional form of one composite connection (fresh tape)."""
-    return g.run(Tape(), source)
+    def children(self):
+        return [("conv", self.conv), ("bn", self.bn)]
 
 
 @dataclass
@@ -123,180 +113,106 @@ class FeaturePyramid:
     """Lead backbone stage outputs for stages 2..L."""
 
     levels: list
-    first_level: int = 2
 
     def level(self, l) -> Tensor4:
-        return self.levels[l - self.first_level]
+        return self.levels[l - 2]
 
     @property
     def last(self) -> Tensor4:
         return self.levels[-1]
 
 
-def _min_receiving_stage(cfg):
-    return 3 if cfg.accelerated else 2
+# previous-backbone source stages of receiving stage l, before dropping absent ones
+_SOURCES = {
+    CompositeStyle.AHLC: lambda l, L: [l],
+    CompositeStyle.SLC: lambda l, L: [l - 1],
+    CompositeStyle.ALLC: lambda l, L: [l + 1],
+    CompositeStyle.DHLC: lambda l, L: range(l, L + 1),
+}
+
+
+def _links(cfg: CBNetConfig):
+    """The link table: (k, l, i) triples in forward order.
+
+    Stage 1 takes no links, and a source past stage L is absent (allc at
+    l = L).  The accelerated assistant runs only stages 3..L, and only
+    after the lead's stage 2, so its links feed lead stages 3..L from
+    assistant stages 3..L.
+    """
+    L = cfg.spec.num_stages
+    first = 3 if cfg.accelerated else 1
+    return [(k, l, i) for k in range(2, cfg.num_backbones + 1)
+            for l in range(max(2, first), L + 1)
+            for i in _SOURCES[cfg.style](l, L) if first <= i <= L]
+
+
+def _connection_key(cfg, link):
+    return link if cfg.style is CompositeStyle.DHLC else link[:2]
 
 
 def connection_keys(cfg: CBNetConfig):
     """Learned composite-connection keys in build order: (k, l) for ahlc/allc,
     (k, l, i) for dhlc, nothing for slc (it adds directly)."""
-    L = cfg.spec.num_stages
-    lmin = _min_receiving_stage(cfg)
-    keys = []
-    for k in range(2, cfg.num_backbones + 1):
-        if cfg.style is CompositeStyle.AHLC:
-            keys += [(k, l) for l in range(lmin, L + 1)]
-        elif cfg.style is CompositeStyle.ALLC:
-            keys += [(k, l) for l in range(lmin, L)]
-        elif cfg.style is CompositeStyle.DHLC:
-            keys += [(k, l, i) for l in range(lmin, L + 1) for i in range(l, L + 1)]
-    return keys
+    if cfg.style is CompositeStyle.SLC:
+        return []
+    return [_connection_key(cfg, link) for link in _links(cfg)]
 
 
 def direct_add_keys(cfg: CBNetConfig):
     """(k, l) pairs where slc adds the previous backbone's stage l-1 directly."""
     if cfg.style is not CompositeStyle.SLC:
         return []
-    L = cfg.spec.num_stages
-    lmin = _min_receiving_stage(cfg)
-    source_min = 3 if cfg.accelerated else 1
-    return [(k, l) for k in range(2, cfg.num_backbones + 1)
-            for l in range(lmin, L + 1) if l - 1 >= source_min]
+    return [link[:2] for link in _links(cfg)]
 
 
-def _source_stage(cfg, key):
-    if cfg.style is CompositeStyle.AHLC:
-        return key[1]
-    if cfg.style is CompositeStyle.ALLC:
-        return key[1] + 1
-    return key[2]  # dhlc
-
-
-def _connection_io(spec, l, i):
-    # stage-i output feeds the connection; its result is added to x^{l-1}
-    c_src = spec.stage_out_channels(i)
-    c_dst = spec.stage_out_channels(l - 1)
-    return c_src, c_dst, spec.stage_hw(l - 1)
-
-
-class CBNet:
+class CBNet(Module):
     def __init__(self, config: CBNetConfig, backbones, connections):
         self.config = config
         self.backbones = list(backbones)
         self.connections = dict(connections)
+        self.links = _links(config)
 
     @property
     def lead(self) -> Backbone:
         return self.backbones[-1]
 
-    # -- forward ------------------------------------------------------------
-
     def forward(self, image: Tensor4, tape: Tape) -> FeaturePyramid:
+        spec = self.config.spec
+        spec.check_image(image)
+        L = spec.num_stages
         if self.config.accelerated:
-            outs = self._forward_accelerated(image, tape)
+            # lead stem and stages 1-2, then the assistant's stages 3..L from
+            # the lead's stage-2 output, then the lead's stages 3..L
+            x = self.lead.stem.run(tape, image)
+            outs = self._run_stages(tape, 2, x, range(1, 3), {})
+            assistant = self._run_stages(tape, 1, outs[2], range(3, L + 1), {})
+            outs.update(self._run_stages(tape, 2, outs[2], range(3, L + 1), assistant))
         else:
-            outs = self.backbones[0].forward(image, tape)
-            for k in range(2, self.config.num_backbones + 1):
-                outs = self._forward_composed(k, image, outs, tape)
-        return FeaturePyramid(outs[1:])
+            outs = {}
+            for k, bb in enumerate(self.backbones, 1):
+                outs = self._run_stages(tape, k, bb.stem.run(tape, image), range(1, L + 1), outs)
+        return FeaturePyramid([outs[l] for l in range(2, L + 1)])
 
-    def _composite_terms(self, tape, k, l, prev):
-        """Previous-backbone contributions to the stage-l input of backbone k,
-        in the fixed left-to-right order (prev[j] is x_{k-1}^{j+1})."""
-        style = self.config.style
-        L = self.config.spec.num_stages
-        if style is CompositeStyle.AHLC:
-            yield self.connections[(k, l)].run(tape, prev[l - 1])
-        elif style is CompositeStyle.SLC:
-            yield prev[l - 2]
-        elif style is CompositeStyle.ALLC:
-            if l < L:
-                yield self.connections[(k, l)].run(tape, prev[l])
-        else:  # dhlc
-            for i in range(l, L + 1):
-                yield self.connections[(k, l, i)].run(tape, prev[i - 1])
-
-    def _forward_composed(self, k, image, prev, tape):
+    def _run_stages(self, tape, k, x, stages, prev):
+        """Chain `stages` of backbone k from input x, adding each stage's links
+        from prev (stage -> previous-backbone output); returns stage -> output."""
         bb = self.backbones[k - 1]
-        x = bb.stem.run(tape, image)
-        outs = [bb.stage(1).run(tape, x)]
-        for l in range(2, self.config.spec.num_stages + 1):
-            inp = outs[-1]
-            for term in self._composite_terms(tape, k, l, prev):
-                inp = tape.run(ADD, inp, term)
-            outs.append(bb.stage(l).run(tape, inp))
+        direct = self.config.style is CompositeStyle.SLC
+        outs = {}
+        for l in stages:
+            for link in self.links:
+                if link[0] == k and link[1] == l:
+                    src = prev[link[2]]
+                    if not direct:
+                        src = self.connections[_connection_key(self.config, link)].run(tape, src)
+                    x = tape.run(ADD, x, src)
+            x = outs[l] = bb.stage(l).run(tape, x)
         return outs
 
-    def _forward_accelerated(self, image, tape):
-        L = self.config.spec.num_stages
-        asst, lead = self.backbones
-        x = lead.stem.run(tape, image)
-        louts = [lead.stage(1).run(tape, x)]
-        louts.append(lead.stage(2).run(tape, louts[0]))
-        a = louts[1]  # assistant stage 3 consumes the lead's stage-2 output
-        aouts = {}
-        for l in range(3, L + 1):
-            a = asst.stage(l).run(tape, a)
-            aouts[l] = a
-        style = self.config.style
-        for l in range(3, L + 1):
-            inp = louts[-1]
-            if style is CompositeStyle.AHLC:
-                inp = tape.run(ADD, inp, self.connections[(2, l)].run(tape, aouts[l]))
-            elif style is CompositeStyle.SLC:
-                if l - 1 >= 3:
-                    inp = tape.run(ADD, inp, aouts[l - 1])
-            elif style is CompositeStyle.ALLC:
-                if l < L:
-                    inp = tape.run(ADD, inp, self.connections[(2, l)].run(tape, aouts[l + 1]))
-            else:
-                for i in range(l, L + 1):
-                    inp = tape.run(ADD, inp, self.connections[(2, l, i)].run(tape, aouts[i]))
-            louts.append(lead.stage(l).run(tape, inp))
-        return louts
-
-    # -- parameter plumbing ---------------------------------------------------
-
-    def _connection_prefix(self, key):
-        return "g." + ".".join(str(part) for part in key)
-
-    def learnables(self):
-        """Every (name, value, grad) triple; under sharing the same arrays
-        appear once per backbone namespace."""
-        for k, bb in enumerate(self.backbones, 1):
-            for name, value, grad in bb.learnables():
-                yield f"b{k}.{name}", value, grad
-        for key, conn in self.connections.items():
-            prefix = self._connection_prefix(key)
-            for name, value, grad in conn.learnables():
-                yield f"{prefix}.{name}", value, grad
-
-    def unique_learnables(self):
-        seen = set()
-        for name, value, grad in self.learnables():
-            if id(value) in seen:
-                continue
-            seen.add(id(value))
-            yield name, value, grad
-
-    def state(self):
-        for k, bb in enumerate(self.backbones, 1):
-            for name, value in bb.state():
-                yield f"b{k}.{name}", value
-        for key, conn in self.connections.items():
-            prefix = self._connection_prefix(key)
-            for name, value in conn.state():
-                yield f"{prefix}.{name}", value
-
-    def bn_params(self):
-        seen = set()
-        for bb in self.backbones:
-            for p in bb.bn_params():
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    yield p
-        for conn in self.connections.values():
-            yield from conn.bn_params()
+    def children(self):
+        return [(f"b{k}", bb) for k, bb in enumerate(self.backbones, 1)] + [
+            ("g." + ".".join(str(part) for part in key), conn)
+            for key, conn in self.connections.items()]
 
 
 def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
@@ -323,20 +239,18 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
         backbones = [build_backbone(spec, s) for s in bseeds]
 
     connections = {}
-    for key in connection_keys(cfg):
-        l = key[1]
-        c_src, c_dst, target_hw = _connection_io(spec, l, _source_stage(cfg, key))
+    for link in _links(cfg):
+        k, l, i = link
+        c_src = backbones[k - 2].stage(i).conv2.params.c_out
+        c_dst = backbones[k - 1].stage(l - 1).conv2.params.c_out
+        if cfg.style is CompositeStyle.SLC:
+            # direct addition: the source must match the receiving stage input
+            if c_src != c_dst:
+                raise ShapeError(f"slc add at (k={k}, l={l}): {c_src} vs {c_dst} channels")
+            continue
         conv = _init_conv(rng, c_src, c_dst, 1, stride=1, pad=0)
-        connections[key] = CompositeConnection(conv, _init_bn(c_dst), target_hw)
-
-    if cfg.style is CompositeStyle.SLC:
-        # direct addition: the previous backbone's stage l-1 output must match
-        # the receiving stage input; checked on the built objects
-        for k, l in direct_add_keys(cfg):
-            src = backbones[k - 2].stage(l - 1).conv2.params.c_out
-            dst = backbones[k - 1].stage(l - 1).conv2.params.c_out
-            if src != dst:
-                raise ShapeError(f"slc add at (k={k}, l={l}): {src} vs {dst} channels")
+        connections[_connection_key(cfg, link)] = CompositeConnection(
+            conv, _init_bn(c_dst), spec.stage_hw(l - 1))
     return CBNet(cfg, backbones, connections)
 
 
@@ -387,14 +301,9 @@ def force_zero_composites(net: CBNet):
 def param_count(model) -> int:
     """Learned parameters in unique storage (shared arrays counted once).
 
-    Works for anything exposing learnables(): a CBNet, a Backbone, a Head.
+    Works for any Module: a CBNet, a Backbone, a Head.
     """
-    seen, total = set(), 0
-    for _, value, _ in model.learnables():
-        if id(value) not in seen:
-            seen.add(id(value))
-            total += value.size
-    return total
+    return sum(value.size for _, value, _ in model.unique_learnables())
 
 
 def _conv_flops(n, c_in, k, c_out, oh, ow):
@@ -432,19 +341,15 @@ def flop_count(net: CBNet, input_dims) -> int:
             total += _stem_flops(spec, n)
         for l in bb.stage_numbers():
             total += _stage_flops(spec, l, n)
-    cfg = net.config
-    for key in net.connections:
-        l = key[1]
-        i = _source_stage(cfg, key)
-        c_src, c_dst, (th, tw) = _connection_io(spec, l, i)
-        sh, sw = spec.stage_hw(i)
-        total += _conv_flops(n, c_src, 1, c_dst, sh, sw)  # 1x1 conv at source res
-        total += n * c_dst * sh * sw                      # bn
-        total += n * c_dst * th * tw                      # upsample output
-        total += n * c_dst * th * tw                      # add into the stage input
-    for _k, l in direct_add_keys(cfg):
+    direct = net.config.style is CompositeStyle.SLC
+    for _k, l, i in net.links:
         c_dst, (th, tw) = spec.stage_out_channels(l - 1), spec.stage_hw(l - 1)
-        total += n * c_dst * th * tw
+        if not direct:
+            c_src, (sh, sw) = spec.stage_out_channels(i), spec.stage_hw(i)
+            total += _conv_flops(n, c_src, 1, c_dst, sh, sw)  # 1x1 conv at source res
+            total += n * c_dst * sh * sw                      # bn
+            total += n * c_dst * th * tw                      # upsample output
+        total += n * c_dst * th * tw                          # add into the stage input
     return total
 
 

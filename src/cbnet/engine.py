@@ -209,26 +209,21 @@ def _bn_check(x, p):
 
 
 def _bn_stats(x, p):
+    """(mean, variance) that normalize x: the biased batch statistics in
+    training mode, the running estimates in inference mode."""
     if p.mode == "training":
-        mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))  # biased, matches the normalization
-    else:
-        mu = p.running_mean
-        var = p.running_var
-    return mu, 1.0 / np.sqrt(var + p.epsilon)
+        return x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    return p.running_mean, p.running_var
 
 
 def _bn_forward(x, p):
     _bn_check(x, p)
+    mu, var = _bn_stats(x, p)
     if p.mode == "training":
-        mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
         p.running_mean *= BN_MOMENTUM
         p.running_mean += (1.0 - BN_MOMENTUM) * mu
         p.running_var *= BN_MOMENTUM
         p.running_var += (1.0 - BN_MOMENTUM) * var
-    else:
-        mu, var = p.running_mean, p.running_var
     istd = 1.0 / np.sqrt(var + p.epsilon)
     xhat = (x - mu[None, :, None, None]) * istd[None, :, None, None]
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
@@ -238,7 +233,8 @@ def _bn_forward(x, p):
 def _bn_backward(x, p, grad_out, cache=None):
     _bn_check(x, p)
     if cache is None:
-        mu, istd = _bn_stats(x, p)
+        mu, var = _bn_stats(x, p)
+        istd = 1.0 / np.sqrt(var + p.epsilon)
         xhat = (x - mu[None, :, None, None]) * istd[None, :, None, None]
     else:
         mu, istd, xhat = cache
@@ -399,14 +395,6 @@ class AddLayer:
         return grad_out, grad_out
 
 
-class MaxPool2Layer:
-    def forward(self, x):
-        return maxpool2(x), x
-
-    def backward(self, ctx, grad_out):
-        return (maxpool2_backward(ctx, grad_out),)
-
-
 class UpsampleLayer:
     def __init__(self, target_hw):
         self.target_hw = tuple(target_hw)
@@ -428,7 +416,6 @@ class GlobalAvgPoolLayer:
 
 RELU = ReLULayer()
 ADD = AddLayer()
-MAXPOOL2 = MaxPool2Layer()
 GAP = GlobalAvgPoolLayer()
 
 

@@ -14,14 +14,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import BackboneSpec, _conv_named, _init_conv
+from .backbone import BackboneSpec, Module, _init_conv
 from .composite import CBNet, CBNetConfig, build_cbnet, set_mode
 from .engine import ConfigError, Conv2dLayer, GAP, ShapeError, Tape, Tensor4
-from .weights import load_weights, save_weights
 
 GRID_STRIDE = 4
+# a shape's half-size is drawn from 5..10 and its centre lies at least that
+# far inside the border, so a 2 * 10 + 1 pixel side is the least that fits
+# every draw; 24 is the smallest multiple of GRID_STRIDE above it
+MIN_IMAGE_SIZE = 24
 CLASS_NAMES = ("circle", "square", "triangle")
 TRAIN_BATCH = 4
+
+# one user-facing seed fans out into fixed roles
+NET_SEED, HEAD_SEED, DATA_SEED, SGD_SEED = 0, 1, 2, 3
+
+
+def sub_seed(seed, role):
+    return int(seed) + role
 
 
 class TrainingDivergedError(RuntimeError):
@@ -41,6 +51,8 @@ def render_sample(seed, image_size=64):
     size = int(image_size)
     if size % GRID_STRIDE:
         raise ConfigError(f"image size {size} not divisible by {GRID_STRIDE}")
+    if size < MIN_IMAGE_SIZE:
+        raise ConfigError(f"image size {size} is below the minimum {MIN_IMAGE_SIZE}")
     rng = np.random.default_rng(seed)
     image = rng.uniform(0.0, 0.35, size=(3, size, size))
     label = int(rng.integers(0, 3))
@@ -77,30 +89,10 @@ def gen_dataset(seed, n, image_size=64):
     return [render_sample(seed + i, image_size)[0] for i in range(n)]
 
 
-def save_dataset(samples, path):
-    named = {}
-    for i, s in enumerate(samples):
-        named[f"sample{i}.image"] = s.image.data
-        named[f"sample{i}.grid"] = s.grid
-        named[f"sample{i}.label"] = np.array([float(s.label)])
-    save_weights(named, path)
-
-
-def load_dataset(path):
-    named = load_weights(path)
-    samples = []
-    for i in range(len(named) // 3):
-        samples.append(SyntheticSample(
-            Tensor4(named[f"sample{i}.image"]),
-            named[f"sample{i}.grid"],
-            int(named[f"sample{i}.label"][0])))
-    return samples
-
-
 # -- head and loss ---------------------------------------------------------------
 
 
-class Head:
+class Head(Module):
     """Objectness: 1x1 conv on the stage-2 map.  Class: global average of the
     last map pushed through a 1x1 conv to 3 logits."""
 
@@ -114,13 +106,8 @@ class Head:
         logits = tape.run(self.cls, pooled)
         return objectness, logits
 
-    def learnables(self):
-        yield from _conv_named("obj", self.obj.params)
-        yield from _conv_named("cls", self.cls.params)
-
-    def state(self):
-        for name, value, _ in self.learnables():
-            yield name, value
+    def children(self):
+        return [("obj", self.obj), ("cls", self.cls)]
 
 
 def build_head(spec: BackboneSpec, seed) -> Head:
@@ -128,11 +115,6 @@ def build_head(spec: BackboneSpec, seed) -> Head:
     obj = _init_conv(rng, spec.stage_out_channels(2), 1, 1, stride=1, pad=0)
     cls = _init_conv(rng, spec.stage_out_channels(spec.num_stages), 3, 1, stride=1, pad=0)
     return Head(obj, cls)
-
-
-def head_forward(head: Head, pyramid):
-    """Functional form (fresh tape): (objectness logits, class logits)."""
-    return head.forward(Tape(), pyramid)
 
 
 def _sigmoid(z):
@@ -171,16 +153,6 @@ def loss_and_grads(objectness: Tensor4, logits: Tensor4, grids, labels):
     softmax[np.arange(n), labels] -= 1.0
     grad_logits = (softmax / n).reshape(logits.dims)
     return bce + ce, grad_obj, grad_logits
-
-
-def loss(pred, samples) -> float:
-    """Scalar loss of (objectness, logits) against one sample or a batch."""
-    if isinstance(samples, SyntheticSample):
-        samples = [samples]
-    grids = np.stack([s.grid for s in samples])
-    labels = [s.label for s in samples]
-    value, _, _ = loss_and_grads(pred[0], pred[1], grids, labels)
-    return value
 
 
 # -- training and evaluation -------------------------------------------------------
@@ -247,20 +219,22 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     return TrainLog(losses, metrics, grad_seen)
 
 
-def run_training(cfg: CBNetConfig, seed, steps, lr, dataset_size):
-    """Build everything from one seed and train.
-
-    The seed fans out to fixed roles: net = seed, head = seed + 1,
-    dataset = seed + 2, step order = seed + 3.  Returns (net, head,
-    dataset, log).
-    """
+def build_task(cfg: CBNetConfig, seed, dataset_size):
+    """Net, head and dataset, each from its role of `seed`."""
     h, w = cfg.spec.image_size
     if h != w:
         raise ConfigError("the synthetic task needs a square image size")
-    net = build_cbnet(cfg, seed)
-    head = build_head(cfg.spec, seed + 1)
-    dataset = gen_dataset(seed + 2, dataset_size, h)
-    log = train(net, head, dataset, steps, lr, seed + 3)
+    net = build_cbnet(cfg, sub_seed(seed, NET_SEED))
+    head = build_head(cfg.spec, sub_seed(seed, HEAD_SEED))
+    dataset = gen_dataset(sub_seed(seed, DATA_SEED), dataset_size, h)
+    return net, head, dataset
+
+
+def run_training(cfg: CBNetConfig, seed, steps, lr, dataset_size):
+    """Build everything from one seed and train, the step order drawn from
+    the SGD_SEED role.  Returns (net, head, dataset, log)."""
+    net, head, dataset = build_task(cfg, seed, dataset_size)
+    log = train(net, head, dataset, steps, lr, sub_seed(seed, SGD_SEED))
     return net, head, dataset, log
 
 

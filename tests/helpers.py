@@ -44,7 +44,9 @@ def backbone_params_oracle(spec, first_stage=1):
 
 def connection_pairs_oracle(cfg):
     """(receiver stage l, source stage i) pairs per receiving backbone,
-    derived straight from the composition rules."""
+    derived straight from the composition rules; slc pairs are direct
+    additions.  The accelerated assistant runs only stages 3..L, after the
+    lead's stage 2, so it links only those stages."""
     L = cfg.spec.num_stages
     lmin = 3 if cfg.accelerated else 2
     if cfg.style is CompositeStyle.AHLC:
@@ -53,10 +55,13 @@ def connection_pairs_oracle(cfg):
         return [(l, l + 1) for l in range(lmin, L)]
     if cfg.style is CompositeStyle.DHLC:
         return [(l, i) for l in range(lmin, L + 1) for i in range(l, L + 1)]
-    return []
+    first_source = 3 if cfg.accelerated else 1
+    return [(l, l - 1) for l in range(lmin, L + 1) if l - 1 >= first_source]
 
 
 def connection_params_oracle(cfg):
+    if cfg.style is CompositeStyle.SLC:
+        return 0
     total = 0
     receivers = cfg.num_backbones - 1
     for l, i in connection_pairs_oracle(cfg):
@@ -95,34 +100,55 @@ def backbone_oracle(bb, image):
     return [o.data for o in outs]
 
 
+def _composite_input(net, k, l, inp, prev):
+    """Add the previous backbone's contributions to the stage-l input of
+    backbone k; prev maps stage -> output and lacks the stages it skipped."""
+    L = net.config.spec.num_stages
+    style = net.config.style
+    if style is CompositeStyle.AHLC:
+        sources = [(l, (k, l))]
+    elif style is CompositeStyle.SLC:
+        sources = [(l - 1, None)]
+    elif style is CompositeStyle.ALLC:
+        sources = [(l + 1, (k, l))] if l < L else []
+    else:
+        sources = [(i, (k, l, i)) for i in range(l, L + 1)]
+    for i, key in sources:
+        if i in prev:
+            src = prev[i]
+            inp = add(inp, src if key is None else eval_connection(net.connections[key], src))
+    return inp
+
+
 def pyramid_oracle(net, image):
-    """Straight-line evaluation of the composition rules for every style;
-    returns the lead stage outputs for stages 2..L as arrays."""
+    """Straight-line evaluation of the composition rules for every style,
+    plain and accelerated; returns the lead stage outputs for stages 2..L
+    as arrays."""
     cfg = net.config
-    assert not cfg.accelerated
     L = cfg.spec.num_stages
-    style = cfg.style
+    if cfg.accelerated:
+        asst, lead = net.backbones
+        x1 = eval_stage(lead.stage(1), eval_stem(lead.stem, image))
+        x2 = eval_stage(lead.stage(2), x1)
+        prev, a = {}, x2
+        for l in range(3, L + 1):
+            a = prev[l] = eval_stage(asst.stage(l), a)
+        outs = {1: x1, 2: x2}
+        for l in range(3, L + 1):
+            outs[l] = eval_stage(lead.stage(l), _composite_input(net, 2, l, outs[l - 1], prev))
+        return [outs[l].data for l in range(2, L + 1)]
     prev = None
     for k in range(1, cfg.num_backbones + 1):
         bb = net.backbones[k - 1]
         x = eval_stem(bb.stem, image)
-        outs = []
+        outs = {}
         for l in range(1, L + 1):
-            inp = x if l == 1 else outs[-1]
+            inp = x if l == 1 else outs[l - 1]
             if k >= 2 and l >= 2:
-                if style is CompositeStyle.AHLC:
-                    inp = add(inp, eval_connection(net.connections[(k, l)], prev[l - 1]))
-                elif style is CompositeStyle.SLC:
-                    inp = add(inp, prev[l - 2])
-                elif style is CompositeStyle.ALLC:
-                    if l < L:
-                        inp = add(inp, eval_connection(net.connections[(k, l)], prev[l]))
-                else:
-                    for i in range(l, L + 1):
-                        inp = add(inp, eval_connection(net.connections[(k, l, i)], prev[i - 1]))
-            outs.append(eval_stage(bb.stage(l), inp))
+                inp = _composite_input(net, k, l, inp, prev)
+            outs[l] = eval_stage(bb.stage(l), inp)
         prev = outs
-    return [o.data for o in prev[1:]]
+    return [prev[l].data for l in range(2, L + 1)]
 
 
 # -- misc ----------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -11,18 +14,23 @@ from cbnet import (
     CompositeStyle,
     ConfigError,
     ConvParams,
+    ShapeError,
+    TOY_SPEC,
+    Tape,
     Tensor4,
+    apply_state,
     backbone_forward,
     build_backbone,
     build_cbnet,
     cbnet_forward,
-    composite_apply,
     connection_keys,
     direct_add_keys,
     flop_count,
     force_zero_composites,
     model_gradcheck,
     param_count,
+    save_weights,
+    state_dict,
 )
 
 SMALL = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
@@ -87,7 +95,7 @@ def test_composite_apply_zeroed_gives_zero_of_target_shape():
     bn = BatchNormParams(np.ones(8), np.zeros(8), np.zeros(8), np.ones(8))
     g = CompositeConnection(conv, bn, (32, 32))
     src = Tensor4(np.random.default_rng(0).standard_normal((1, 16, 16, 16)))
-    out = composite_apply(g, src)
+    out = g.run(Tape(), src)
     assert out.dims == (1, 8, 32, 32)
     assert np.all(out.data == 0.0)
 
@@ -97,7 +105,7 @@ def test_composite_apply_shape_contract():
     conv = ConvParams(rng.standard_normal((8, 16, 1, 1)), rng.standard_normal(8))
     bn = BatchNormParams(np.ones(8), np.zeros(8), np.zeros(8), np.ones(8))
     g = CompositeConnection(conv, bn, (32, 32))
-    out = composite_apply(g, Tensor4(rng.standard_normal((1, 16, 16, 16))))
+    out = g.run(Tape(), Tensor4(rng.standard_normal((1, 16, 16, 16))))
     assert out.dims == (1, 8, 32, 32)
 
 
@@ -108,7 +116,7 @@ def test_composite_apply_matches_straight_line_oracle():
                          rng.standard_normal(4) * 0.1, rng.uniform(0.5, 2.0, 4))
     g = CompositeConnection(conv, bn, (8, 8))
     src = Tensor4(rng.standard_normal((2, 8, 4, 4)))
-    got = composite_apply(g, src)
+    got = g.run(Tape(), src)
     want = helpers.eval_connection(g, src)
     assert np.array_equal(got.data, want.data)
 
@@ -149,15 +157,31 @@ def test_zero_composites_reduce_to_single_backbone(style):
 
 
 @pytest.mark.parametrize("style", list(CompositeStyle))
-@pytest.mark.parametrize("k", [2, 3])
-def test_forward_matches_equation_oracle(style, k):
-    net = build_cbnet(small_cfg(num_backbones=k, style=style), 40 + k)
+@pytest.mark.parametrize("k, accelerated, share", [
+    pytest.param(2, False, False, id="2"),
+    pytest.param(3, False, False, id="3"),
+    pytest.param(2, True, False, id="2-accelerated"),
+    pytest.param(2, True, True, id="2-accelerated-shared"),
+])
+def test_forward_matches_equation_oracle(style, k, accelerated, share):
+    cfg = small_cfg(num_backbones=k, style=style, accelerated=accelerated,
+                    share_weights=share)
+    net = build_cbnet(cfg, 40 + k)
     img = helpers.random_image(SMALL, 50 + k)
     pyramid = cbnet_forward(net, img)
     want = helpers.pyramid_oracle(net, img)
     for lvl, expect in zip(pyramid.levels, want):
         assert np.isfinite(lvl.data).all()
         assert np.max(np.abs(lvl.data - expect)) < 1e-9
+
+
+@pytest.mark.parametrize("style", list(CompositeStyle))
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_wrong_image_size_names_the_spec(style, accelerated):
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=style, accelerated=accelerated,
+                                  spec=BackboneSpec()), 0)
+    with pytest.raises(ShapeError, match=re.escape("spec (3, (64, 64))")):
+        cbnet_forward(net, Tensor4(np.zeros((1, 3, 32, 32))))
 
 
 def test_dhlc_with_zeroed_higher_links_equals_ahlc():
@@ -319,3 +343,59 @@ def test_gradients_flow_through_composites_in_tiny_model():
 def test_invalid_k_rejected():
     with pytest.raises(ConfigError):
         CBNetConfig(num_backbones=0, spec=SMALL)
+
+
+# -- config space and weight layout --------------------------------------------------
+
+TINY = BackboneSpec(num_stages=3, stem_channels=2, stage_channels=(2, 3, 3),
+                    image_size=(8, 8))
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+@pytest.mark.parametrize("share", [False, True])
+@pytest.mark.parametrize("style", list(CompositeStyle))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_config_sweep_builds_runs_and_round_trips(k, style, share, accelerated):
+    try:
+        cfg = CBNetConfig(num_backbones=k, style=style, share_weights=share,
+                          accelerated=accelerated, spec=TINY)
+        net = build_cbnet(cfg, 3)
+    except ConfigError:
+        assert accelerated and k != 2
+        return
+    links = len(connection_keys(cfg)) + len(direct_add_keys(cfg))
+    assert links == (k - 1) * len(helpers.connection_pairs_oracle(cfg))
+
+    img = helpers.random_image(TINY, 4)
+    tape = Tape()
+    pyramid = net.forward(img, tape)
+    tape.backward([(lvl, np.ones(lvl.dims)) for lvl in pyramid.levels])
+    assert img.grad is not None and np.isfinite(img.grad).all()
+    assert all(np.isfinite(g).all() for _, _, g in net.unique_learnables())
+
+    saved = {name: value.copy() for name, value in state_dict(net).items()}
+    other = build_cbnet(cfg, 5)
+    apply_state(other, saved)
+    loaded = state_dict(other)
+    assert list(loaded) == list(saved)
+    assert all(np.array_equal(loaded[name], saved[name]) for name in saved)
+
+
+# sha256 of the CBNW file of state_dict(build_cbnet(cfg, 7)) at TOY_SPEC; the
+# bytes depend only on the seeded draws and the tensor name order
+PINNED_CBNW_SHA256 = [
+    (dict(num_backbones=2, style=CompositeStyle.DHLC),
+     "cb82da158a41f914d84fcf39c71b40b51e9a2e0c93b15b017cc9adfa61bf07bd"),
+    (dict(num_backbones=2, style=CompositeStyle.SLC, accelerated=True),
+     "eb8fc73d0ad44638f36d466da4f61871a6b72cc642206983aa7d5d278ec97601"),
+    (dict(num_backbones=3, style=CompositeStyle.ALLC, share_weights=True),
+     "43d701a62b012946d61acfcfbe1d21398352062bd42857f0e1e3c6fe40eb492b"),
+]
+
+
+@pytest.mark.parametrize("kw, want", PINNED_CBNW_SHA256)
+def test_cbnw_layout_is_pinned(tmp_path, kw, want):
+    net = build_cbnet(CBNetConfig(spec=TOY_SPEC, **kw), 7)
+    path = tmp_path / "w.cbnw"
+    save_weights(state_dict(net), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want

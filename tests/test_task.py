@@ -15,18 +15,11 @@ from cbnet import (
     cbnet_forward,
     evaluate,
     gen_dataset,
-    head_forward,
-    loss,
     loss_and_grads,
     train,
 )
-from cbnet.engine import gradcheck
-from cbnet.task import (
-    GRID_STRIDE,
-    metrics_from_predictions,
-    render_sample,
-    save_dataset,
-)
+from cbnet.engine import Tape, gradcheck
+from cbnet.task import GRID_STRIDE, metrics_from_predictions, render_sample
 
 SMALL = BackboneSpec(num_stages=2, stem_channels=4, stage_channels=(4, 8),
                      image_size=(16, 16))
@@ -35,14 +28,16 @@ SMALL = BackboneSpec(num_stages=2, stem_channels=4, stage_channels=(4, 8),
 # -- dataset -----------------------------------------------------------------
 
 
-def test_dataset_is_deterministic(tmp_path):
-    a = tmp_path / "a.cbnw"
-    b = tmp_path / "b.cbnw"
-    save_dataset(gen_dataset(5, 8), a)
-    save_dataset(gen_dataset(5, 8), b)
-    assert a.read_bytes() == b.read_bytes()
-    save_dataset(gen_dataset(6, 8), b)
-    assert a.read_bytes() != b.read_bytes()
+def test_dataset_is_deterministic():
+    def arrays(seed):
+        return [(s.image.data, s.grid, s.label) for s in gen_dataset(seed, 8)]
+
+    def same(a, b):
+        return all(np.array_equal(ia, ib) and np.array_equal(ga, gb) and la == lb
+                   for (ia, ga, la), (ib, gb, lb) in zip(a, b))
+
+    assert same(arrays(5), arrays(5))
+    assert not same(arrays(5), arrays(6))
 
 
 def test_dataset_size_and_dims():
@@ -75,6 +70,21 @@ def test_dataset_rejects_bad_sizes():
         gen_dataset(0, 0)
 
 
+@pytest.mark.parametrize("size", [16, 20])
+def test_dataset_rejects_images_below_minimum(size):
+    with pytest.raises(ConfigError, match="minimum 24"):
+        gen_dataset(0, 4, image_size=size)
+    with pytest.raises(ConfigError, match="minimum 24"):
+        render_sample(0, size)
+
+
+def test_smallest_image_size_draws_every_seed():
+    for seed in range(200):
+        sample, _ = render_sample(seed, 24)
+        assert sample.image.dims == (1, 3, 24, 24)
+        assert sample.grid.any()
+
+
 # -- head and loss ------------------------------------------------------------
 
 
@@ -85,7 +95,7 @@ def _pyramid(seed=3):
 
 def test_head_forward_shapes():
     head = build_head(SMALL, 2)
-    objectness, logits = head_forward(head, _pyramid())
+    objectness, logits = head.forward(Tape(), _pyramid())
     assert objectness.dims == (1, 1, 4, 4)
     assert logits.dims == (1, 3, 1, 1)
 
@@ -104,7 +114,8 @@ def test_saturated_correct_prediction_has_tiny_loss():
     z = np.where(sample.grid > 0, 100.0, -100.0)[None, None]
     logits = np.full((1, 3, 1, 1), -100.0)
     logits[0, sample.label] = 100.0
-    value = loss((Tensor4(z), Tensor4(logits)), sample)
+    value, _, _ = loss_and_grads(Tensor4(z), Tensor4(logits), sample.grid[None],
+                                 [sample.label])
     assert value < 1e-3
 
 
