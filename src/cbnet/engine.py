@@ -144,7 +144,14 @@ def _conv_out_hw(h, w, k, stride, pad):
 def _im2col(x, k, stride, pad):
     n, c, h, w = x.shape
     oh, ow = _conv_out_hw(h, w, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    if k == 1 and stride == 1 and pad == 0:
+        # the input is its own column matrix; the tape never mutates a
+        # recorded input, so the columns may alias it
+        return x.reshape(n, c, h * w), oh, ow
+    xp = x
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+        xp[:, :, pad:pad + h, pad:pad + w] = x
     cols = np.empty((n, c, k, k, oh, ow), dtype=np.float64)
     for i in range(k):
         for j in range(k):
@@ -209,23 +216,31 @@ def _bn_check(x, p):
 
 
 def _bn_stats(x, p):
-    """(mean, variance) that normalize x: the biased batch statistics in
-    training mode, the running estimates in inference mode."""
+    """(mean, variance, x - mean) that normalize x: the biased batch
+    statistics in training mode, the running estimates in inference mode.
+
+    The batch statistics are sum / m and the mean of the squared centred
+    input, which is what np.mean and np.var compute, bit for bit, while
+    centring x only once.
+    """
     if p.mode == "training":
-        return x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-    return p.running_mean, p.running_var
+        m = x.size // x.shape[1]
+        mu = x.sum(axis=(0, 2, 3)) / m
+        xc = x - mu[None, :, None, None]
+        return mu, (xc * xc).sum(axis=(0, 2, 3)) / m, xc
+    return p.running_mean, p.running_var, x - p.running_mean[None, :, None, None]
 
 
 def _bn_forward(x, p):
     _bn_check(x, p)
-    mu, var = _bn_stats(x, p)
+    mu, var, xc = _bn_stats(x, p)
     if p.mode == "training":
         p.running_mean *= BN_MOMENTUM
         p.running_mean += (1.0 - BN_MOMENTUM) * mu
         p.running_var *= BN_MOMENTUM
         p.running_var += (1.0 - BN_MOMENTUM) * var
     istd = 1.0 / np.sqrt(var + p.epsilon)
-    xhat = (x - mu[None, :, None, None]) * istd[None, :, None, None]
+    xhat = xc * istd[None, :, None, None]
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
     return y, (mu, istd, xhat)
 
@@ -233,9 +248,9 @@ def _bn_forward(x, p):
 def _bn_backward(x, p, grad_out, cache=None):
     _bn_check(x, p)
     if cache is None:
-        mu, var = _bn_stats(x, p)
+        mu, var, xc = _bn_stats(x, p)
         istd = 1.0 / np.sqrt(var + p.epsilon)
-        xhat = (x - mu[None, :, None, None]) * istd[None, :, None, None]
+        xhat = xc * istd[None, :, None, None]
     else:
         mu, istd, xhat = cache
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
@@ -436,6 +451,17 @@ class Tape:
         y, ctx = layer.forward(*xs)
         self.steps.append((layer, xs, y, ctx))
         return y
+
+    def replay(self, start):
+        """Re-execute steps[start:] against the current contents of the
+        parameters and inputs, recording nothing; returns {recorded output:
+        fresh output} for those steps.  The outputs of earlier steps are
+        reused as recorded, so this equals a fresh forward only while no
+        step before `start` reads an array changed since the recording."""
+        fresh = {}
+        for layer, xs, y, _ in self.steps[start:]:
+            fresh[y], _ = layer.forward(*(fresh.get(x, x) for x in xs))
+        return fresh
 
     def backward(self, seeds):
         for t, g in seeds:

@@ -12,6 +12,8 @@ loaded mapping reproduces the original file bit for bit.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -25,23 +27,43 @@ class WeightFormatError(ValueError):
 
 
 def save_weights(named, path):
-    """Write a name -> array mapping in insertion order."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(named)))
-        for name, arr in named.items():
-            raw = name.encode("utf-8")
-            if not raw or len(raw) > 0xFFFF:
-                raise WeightFormatError(f"bad tensor name {name!r}")
-            arr = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
-            if arr.ndim > 255:
-                raise WeightFormatError(f"tensor {name!r} has too many dims")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.tobytes())
+    """Write a name -> array mapping in insertion order.
+
+    Names and dims are checked before anything is written, and the bytes
+    go to a temporary file beside `path` that replaces it only once
+    complete and fsynced: a failed save leaves no partial file and an
+    existing `path` untouched.
+    """
+    entries = []
+    for name, arr in named.items():
+        raw = name.encode("utf-8")
+        if not raw or len(raw) > 0xFFFF:
+            raise WeightFormatError(f"bad tensor name {name!r}")
+        arr = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
+        if arr.ndim > 255:
+            raise WeightFormatError(f"tensor {name!r} has too many dims")
+        if any(d > 0xFFFFFFFF for d in arr.shape):
+            raise WeightFormatError(f"tensor {name!r} has a dim above 2**32 - 1")
+        entries.append((raw, arr))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(entries)))
+            for raw, arr in entries:
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", arr.ndim))
+                for d in arr.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -9,11 +9,15 @@ import numpy as np
 
 from cbnet import (
     CompositeStyle,
+    Tape,
     Tensor4,
     add,
     batchnorm,
+    cbnet_forward,
     conv2d,
+    gradcheck,
     relu,
+    set_mode,
     upsample_nearest,
 )
 
@@ -149,6 +153,43 @@ def pyramid_oracle(net, image):
             outs[l] = eval_stage(bb.stage(l), inp)
         prev = outs
     return [prev[l].data for l in range(2, L + 1)]
+
+
+# -- whole-model gradient check -------------------------------------------------
+
+
+def model_gradcheck_reference(net, image, epsilon=1e-5, loss_seed=0):
+    """`model_gradcheck` as a full fresh forward per probe: the same loss
+    projection, the same checked arrays in the same order, one gradcheck."""
+    snapshot = [(p, p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
+    old_modes = [(p, p.mode) for p in net.bn_params()]
+    set_mode(net, "training")
+    rng = np.random.default_rng(loss_seed)
+    probe = cbnet_forward(net, image)
+    coeffs = [rng.standard_normal(lvl.dims) for lvl in probe.levels]
+
+    def loss_fn():
+        pyr = cbnet_forward(net, image)
+        return float(sum((c * lvl.data).sum() for c, lvl in zip(coeffs, pyr.levels)))
+
+    try:
+        for _, _, grad in net.unique_learnables():
+            grad[:] = 0.0
+        tape = Tape()
+        pyramid = net.forward(image, tape)
+        tape.backward(list(zip(pyramid.levels, coeffs)))
+        checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
+        checks.append((image.data, image.grad.copy()))
+        return gradcheck(loss_fn, checks, epsilon)
+    finally:
+        image.grad = None
+        for _, _, grad in net.unique_learnables():
+            grad[:] = 0.0
+        for p, mean, var in snapshot:
+            p.running_mean[:] = mean
+            p.running_var[:] = var
+        for p, mode in old_modes:
+            p.mode = mode
 
 
 # -- misc ----------------------------------------------------------------------

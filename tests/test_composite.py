@@ -30,8 +30,10 @@ from cbnet import (
     model_gradcheck,
     param_count,
     save_weights,
+    set_mode,
     state_dict,
 )
+from cbnet.composite import _first_reader
 
 SMALL = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
                      image_size=(16, 16))
@@ -399,3 +401,91 @@ def test_cbnw_layout_is_pinned(tmp_path, kw, want):
     path = tmp_path / "w.cbnw"
     save_weights(state_dict(net), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+# -- tape-suffix replay ----------------------------------------------------------
+
+
+def _toy_configs():
+    for k in (1, 2, 3):
+        for style in CompositeStyle:
+            for share in (False, True):
+                for accelerated in ((False, True) if k == 2 else (False,)):
+                    yield CBNetConfig(num_backbones=k, style=style, share_weights=share,
+                                      accelerated=accelerated, spec=TOY_SPEC)
+
+
+def _cfg_id(cfg):
+    return (f"{cfg.num_backbones}-{cfg.style.value}"
+            f"{'-shared' if cfg.share_weights else ''}"
+            f"{'-accelerated' if cfg.accelerated else ''}")
+
+
+def _perturbed_arrays(net, image):
+    """The image, a lead last-stage conv weight, a composite connection
+    weight (when there is one) and, under sharing, a shared BN gamma."""
+    last = net.lead.stage(net.config.spec.num_stages)
+    arrays = [("image", image.data), ("lead conv", last.conv1.params.weight.data)]
+    if net.connections:
+        conn = list(net.connections.values())[-1]
+        arrays.append(("connection", conn.conv.params.weight.data))
+    if net.config.share_weights:
+        arrays.append(("shared gamma", last.bn1.params.gamma))
+    return arrays
+
+
+@pytest.mark.parametrize("cfg", list(_toy_configs()), ids=_cfg_id)
+def test_replay_from_first_reader_equals_fresh_forward(cfg):
+    net = build_cbnet(cfg, 31)
+    image = helpers.random_image(TOY_SPEC, 32)
+    set_mode(net, "training")
+    for what, arr in _perturbed_arrays(net, image):
+        tape = Tape()
+        pyramid = net.forward(image, tape)
+        start = _first_reader(tape.steps, arr)
+        assert (start == 0) == (what == "image"), what
+        orig = arr.copy()
+        arr += 0.25
+        fresh = tape.replay(start)
+        replayed = [fresh.get(lvl, lvl).data for lvl in pyramid.levels]
+        expected = [lvl.data for lvl in net.forward(image, Tape()).levels]
+        arr[...] = orig
+        assert all(np.array_equal(a, b) for a, b in zip(replayed, expected)), what
+        assert not all(np.array_equal(lvl.data, b)
+                       for lvl, b in zip(pyramid.levels, expected)), what
+
+
+GRADCHECK_CONFIGS = [
+    dict(num_backbones=2, style=CompositeStyle.DHLC),
+    dict(num_backbones=3, style=CompositeStyle.AHLC, share_weights=True),
+    dict(num_backbones=2, style=CompositeStyle.ALLC, accelerated=True),
+    dict(num_backbones=2, style=CompositeStyle.SLC, accelerated=True, share_weights=True),
+]
+
+
+# three stages, the fewest the accelerated variant accepts, and 1-2 channels keep
+# the full-forward reference cheap
+NARROW = BackboneSpec(num_stages=3, stem_channels=1, stage_channels=(1, 2, 2),
+                      image_size=(8, 8))
+
+
+@pytest.mark.parametrize("kw", GRADCHECK_CONFIGS,
+                         ids=lambda kw: _cfg_id(CBNetConfig(spec=NARROW, **kw)))
+def test_model_gradcheck_equals_full_forward_reference(kw):
+    cfg = CBNetConfig(spec=NARROW, **kw)
+    net = build_cbnet(cfg, 33)
+    image = helpers.random_image(NARROW, 34)
+    want = helpers.model_gradcheck_reference(net, image, loss_seed=5)
+    assert model_gradcheck(net, image, loss_seed=5) == want
+
+
+def test_model_gradcheck_stops_at_first_non_finite_probe(monkeypatch):
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
+    _, value, _ = next(iter(net.unique_learnables()))
+    value.flat[0] = np.nan
+    starts = []
+    replay = Tape.replay
+    monkeypatch.setattr(Tape, "replay",
+                        lambda tape, start: starts.append(start) or replay(tape, start))
+    assert model_gradcheck(net, helpers.random_image(NARROW, 34)) == float("inf")
+    assert len(starts) == 2

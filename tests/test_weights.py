@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from cbnet import (
     save_weights,
     state_dict,
 )
+from cbnet.composite import WeightsMismatch
 
 SMALL = BackboneSpec(num_stages=2, stem_channels=4, stage_channels=(4, 8),
                      image_size=(16, 16))
@@ -106,3 +108,73 @@ def test_full_model_save_load_round_trip(tmp_path):
     mine = dict(net.state())
     for name, value in other.state():
         assert np.array_equal(value, mine[name]), name
+
+
+# -- failure atomicity -----------------------------------------------------------
+
+
+def _model_bytes(net):
+    return b"".join(value.tobytes() for _, value in net.state())
+
+
+@pytest.mark.parametrize("defect", ["missing", "shape"])
+def test_failed_full_load_leaves_model_untouched(defect):
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 5)
+    named = {name: value.copy() + 1.0 for name, value in state_dict(
+        build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 6)).items()}
+    last = list(named)[-1]
+    if defect == "missing":
+        del named[last]
+    else:
+        named[last] = np.zeros(named[last].size + 1)
+    before = _model_bytes(net)
+    with pytest.raises(WeightsMismatch, match=last):
+        apply_state(net, named)
+    assert _model_bytes(net) == before
+
+
+def test_failed_single_backbone_load_leaves_model_untouched():
+    named = {name: value + 1.0 for name, value in build_backbone(SMALL, 7).state()}
+    last = list(named)[-1]
+    del named[last]
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 8)
+    before = _model_bytes(net)
+    with pytest.raises(WeightsMismatch, match=last):
+        apply_state(net, named)
+    assert _model_bytes(net) == before
+
+
+def test_failed_save_leaves_no_file(tmp_path):
+    path = tmp_path / "w.cbnw"
+    with pytest.raises(WeightFormatError, match="bad tensor name"):
+        save_weights({"a": np.ones(3), "": np.ones(2)}, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_save_keeps_existing_destination(tmp_path):
+    path = tmp_path / "w.cbnw"
+    save_weights({"a": np.arange(4.0)}, path)
+    before = path.read_bytes()
+    with pytest.raises(WeightFormatError, match="dim above"):
+        save_weights({"a": np.ones(2), "b": np.zeros((2 ** 32, 0))}, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_syncs_complete_file_before_rename(tmp_path, monkeypatch):
+    synced = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        synced.append(os.fstat(fd).st_size)
+        real_fsync(fd)
+
+    def replace(src, dst):
+        assert synced == [os.path.getsize(src)]
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "w.cbnw"
+    save_weights({"a": np.arange(6.0).reshape(2, 3)}, path)
+    assert synced == [path.stat().st_size]
