@@ -263,5 +263,8 @@ def build_backbone(spec: BackboneSpec, seed: int, first_stage: int = 1) -> Backb
 
 
 def backbone_forward(b: Backbone, image: Tensor4):
-    """Plain forward pass (fresh tape); returns the list of stage outputs."""
-    return b.forward(image, Tape())
+    """Plain forward-only pass on a tape that records nothing; returns the
+    list of stage outputs."""
+    tape = Tape()
+    tape.recording = False
+    return b.forward(image, tape)

@@ -2,8 +2,10 @@
 
 Subcommands: summarize, train, eval, gradcheck, flops, viz.  Every command
 is deterministic given its flags: rerunning writes byte-identical files.
-Exits 0 on success, 2 on argument errors, 1 on runtime failures (including
-a gradcheck error above tolerance).
+Exits 0 on success; 2 on argument errors, which include a single flag out
+of its range (--k or --n below 1, --steps below 0, --lr or --tolerance
+negative or not finite); 1 on runtime failures, which include a flag
+combination the model rejects and a gradcheck error above tolerance.
 """
 
 from __future__ import annotations
@@ -44,8 +46,21 @@ from .viz import heatmap_channel_mean
 from .weights import WeightFormatError, load_weights, save_weights
 
 
+def _at_least(convert, low):
+    """argparse type: `convert(text)`, rejected unless low <= value < inf."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}")
+        if not low <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _model_flags(p):
-    p.add_argument("--k", type=int, default=2, help="number of backbones")
+    p.add_argument("--k", type=_at_least(int, 1), default=2, help="number of backbones")
     p.add_argument("--style", choices=[s.value for s in CompositeStyle], default="ahlc")
     p.add_argument("--share-weights", action="store_true")
     p.add_argument("--accelerated", action="store_true")
@@ -192,9 +207,9 @@ def build_parser():
 
     p = sub.add_parser("train", help="train on the synthetic task, write weights + loss CSV")
     _model_flags(p)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--n", type=int, default=64, help="dataset size")
+    p.add_argument("--steps", type=_at_least(int, 0), default=200)
+    p.add_argument("--lr", type=_at_least(float, 0.0), default=0.05)
+    p.add_argument("--n", type=_at_least(int, 1), default=64, help="dataset size")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--weights-in")
     p.add_argument("--weights-out")
@@ -202,14 +217,14 @@ def build_parser():
 
     p = sub.add_parser("eval", help="report cell F1 and class accuracy")
     _model_flags(p)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_at_least(int, 1), default=64)
     p.add_argument("--weights-in")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the whole model")
     _model_flags(p)
     p.add_argument("--toy", action="store_true", help="use the small 16x16 spec")
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=_at_least(float, 0.0), default=1e-3)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("flops", help="print parameter and FLOP totals")

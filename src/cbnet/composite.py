@@ -257,8 +257,15 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
 
 
 def cbnet_forward(net: CBNet, image: Tensor4) -> FeaturePyramid:
-    """Forward pass on a fresh tape; returns the lead feature pyramid."""
-    return net.forward(image, Tape())
+    """Forward-only pass; returns the lead feature pyramid.
+
+    The tape records nothing, so only the pyramid and the stage outputs
+    later stages still read stay alive.  The outputs are bit-identical to
+    a recording `net.forward`: the same layers run in the same order.
+    """
+    tape = Tape()
+    tape.recording = False
+    return net.forward(image, tape)
 
 
 def set_mode(net: CBNet, mode: str):

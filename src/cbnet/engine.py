@@ -442,14 +442,21 @@ class Tape:
     in reverse, accumulating into each tensor's grad buffer.  Fan-out is
     handled by in-place accumulation, so the walk order is the exact
     reverse of the recorded order and results are bit-reproducible.
+
+    A forward-only pass clears `recording` right after `Tape()`: `run`
+    then executes each layer exactly as before but keeps no step, so every
+    activation and im2col buffer is freed as soon as nothing else holds it.
+    Such a tape cannot be backpropagated.
     """
 
     def __init__(self):
         self.steps = []
+        self.recording = True
 
     def run(self, layer, *xs) -> Tensor4:
         y, ctx = layer.forward(*xs)
-        self.steps.append((layer, xs, y, ctx))
+        if self.recording:
+            self.steps.append((layer, xs, y, ctx))
         return y
 
     def replay(self, start):
@@ -464,6 +471,9 @@ class Tape:
         return fresh
 
     def backward(self, seeds):
+        if not self.recording:
+            raise RuntimeError("backward on a tape that recorded nothing "
+                               "(its recording flag is off)")
         for t, g in seeds:
             t.accumulate_grad(g)
         for layer, xs, y, ctx in reversed(self.steps):

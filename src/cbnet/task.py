@@ -178,8 +178,10 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     Batchnorm runs in training mode during the steps and is switched back
     to inference for the final metrics.  Aborts on a non-finite loss.
     """
-    if lr < 0:
-        raise ConfigError(f"learning rate must be >= 0, got {lr}")
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
+    if not 0 <= lr < np.inf:
+        raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
     params = list(net.unique_learnables())
     seen_params = {id(v) for _, v, _ in params}
     for name, value, grad in head.learnables():
@@ -253,7 +255,9 @@ def metrics_from_predictions(pred_grids, true_grids, pred_labels, true_labels):
 
 def evaluate(net: CBNet, head: Head, dataset, chunk=16) -> dict:
     """Inference-mode metrics: objectness thresholded at probability 0.5
-    (logit > 0), class by argmax with first-index tie-break."""
+    (logit > 0), class by argmax with first-index tie-break.  The net and
+    head run on a tape that records nothing, so a chunk keeps no
+    activations or im2col buffers beyond the ops that still need them."""
     if not dataset:
         raise ConfigError("cannot evaluate on an empty dataset")
     set_mode(net, "inference")
@@ -261,8 +265,10 @@ def evaluate(net: CBNet, head: Head, dataset, chunk=16) -> dict:
     for start in range(0, len(dataset), chunk):
         part = dataset[start:start + chunk]
         images, grids, labels = _batch(part)
-        pyramid = net.forward(images, Tape())
-        objectness, logits = head.forward(Tape(), pyramid)
+        tape = Tape()
+        tape.recording = False
+        pyramid = net.forward(images, tape)
+        objectness, logits = head.forward(tape, pyramid)
         pred_grids.append(objectness.data[:, 0] > 0.0)
         true_grids.append(np.asarray(grids, dtype=bool))
         pred_labels += list(np.argmax(logits.data.reshape(len(part), -1), axis=1))

@@ -7,7 +7,8 @@ Layout, all integers little-endian:
                 | row-major float64 payload
 
 Round trips are byte-exact: loading preserves entry order, so saving a
-loaded mapping reproduces the original file bit for bit.
+loaded mapping reproduces the original file bit for bit.  Names are
+non-empty and payloads finite: both directions reject NaN and inf.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 MAGIC = b"CBNW"
 VERSION = 1
+_MAX_NDIM = 64  # numpy's limit on array dims
 
 
 class WeightFormatError(ValueError):
@@ -29,10 +31,10 @@ class WeightFormatError(ValueError):
 def save_weights(named, path):
     """Write a name -> array mapping in insertion order.
 
-    Names and dims are checked before anything is written, and the bytes
-    go to a temporary file beside `path` that replaces it only once
-    complete and fsynced: a failed save leaves no partial file and an
-    existing `path` untouched.
+    Names, dims and finiteness are checked before anything is written,
+    and the bytes go to a temporary file beside `path` that replaces it
+    only once complete and fsynced: a failed save leaves no partial file
+    and an existing `path` untouched.
     """
     entries = []
     for name, arr in named.items():
@@ -44,6 +46,8 @@ def save_weights(named, path):
             raise WeightFormatError(f"tensor {name!r} has too many dims")
         if any(d > 0xFFFFFFFF for d in arr.shape):
             raise WeightFormatError(f"tensor {name!r} has a dim above 2**32 - 1")
+        if not np.isfinite(arr).all():
+            raise WeightFormatError(f"tensor {name!r} holds NaN or inf")
         entries.append((raw, arr))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -101,15 +105,23 @@ def load_weights(path):
             name = r.take(nlen, "tensor name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WeightFormatError(f"{path}: undecodable tensor name") from exc
+        if not name:
+            raise WeightFormatError(f"{path}: empty tensor name")
         if name in named:
             raise WeightFormatError(f"{path}: duplicate tensor {name!r}")
         ndim = r.u("B", f"ndim of {name!r}")
+        if ndim > _MAX_NDIM:
+            raise WeightFormatError(f"{path}: tensor {name!r} has {ndim} dims, "
+                                    f"more than the {_MAX_NDIM} numpy supports")
         dims = tuple(r.u("I", f"dims of {name!r}") for _ in range(ndim))
         size = 1
         for d in dims:
             size *= d
         payload = r.take(8 * size, f"payload of {name!r}")
-        named[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise WeightFormatError(f"{path}: tensor {name!r} holds NaN or inf")
+        named[name] = arr
     if r.pos != len(blob):
         raise WeightFormatError(f"{path}: trailing data after last tensor")
     return named

@@ -45,6 +45,27 @@ def test_unknown_flag_exits_2():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("summarize", "--k", "0"),
+    ("train", "--n", "0"),
+    ("eval", "--n", "0"),
+    ("train", "--steps", "-1"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("train", "--lr", "-0.5"),
+    ("gradcheck", "--toy", "--tolerance", "nan"),
+    ("gradcheck", "--toy", "--tolerance", "-0.001"),
+], ids=" ".join)
+def test_flag_out_of_range_exits_2_with_usage(tmp_path, args):
+    out = tmp_path / "run"
+    extra = ("--out", str(out)) if args[0] == "train" else ()
+    result = run_cli(*args, *extra)
+    assert result.returncode == 2
+    assert "usage" in result.stderr.lower()
+    assert f"argument {args[-2]}: must be finite and >=" in result.stderr
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1(tmp_path):
     result = run_cli("eval", "--k", "1", "--n", "2",
                      "--weights-in", str(tmp_path / "missing.cbnw"))

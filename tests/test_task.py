@@ -204,6 +204,19 @@ def test_assistant_parameters_receive_gradient():
     assert not missing, missing
 
 
+def test_train_rejects_negative_steps():
+    net, head, data = _tiny_setup(n=2)
+    with pytest.raises(ConfigError, match="steps must be >= 0, got -1"):
+        train(net, head, data, steps=-1, lr=0.05, seed=0)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -0.05])
+def test_train_rejects_non_finite_or_negative_lr(lr):
+    net, head, data = _tiny_setup(n=2)
+    with pytest.raises(ConfigError, match="learning rate must be finite and >= 0"):
+        train(net, head, data, steps=1, lr=lr, seed=0)
+
+
 # values recorded from the reference run of this exact budget; the loose
 # tolerance absorbs BLAS-order differences across machines while still
 # catching any change to seeding, batching or gradient math

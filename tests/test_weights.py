@@ -1,8 +1,11 @@
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbnet import (
     BackboneSpec,
@@ -178,3 +181,82 @@ def test_save_syncs_complete_file_before_rename(tmp_path, monkeypatch):
     path = tmp_path / "w.cbnw"
     save_weights({"a": np.arange(6.0).reshape(2, 3)}, path)
     assert synced == [path.stat().st_size]
+
+
+def _cbnw(name, values):
+    raw = name.encode()
+    values = np.asarray(values, dtype="<f8")
+    return (b"CBNW" + struct.pack("<II", 1, 1) + struct.pack("<H", len(raw)) + raw
+            + struct.pack("<BI", 1, values.size) + values.tobytes())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected_naming_tensor(tmp_path, bad):
+    path = tmp_path / "w.cbnw"
+    path.write_bytes(_cbnw("b1.stem.conv.bias", [1.0, bad, 2.0]))
+    with pytest.raises(WeightFormatError, match="'b1.stem.conv.bias' holds NaN or inf"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_rejects_non_finite_before_writing(tmp_path, bad):
+    path = tmp_path / "w.cbnw"
+    with pytest.raises(WeightFormatError, match="'b' holds NaN or inf"):
+        save_weights({"a": np.ones(3), "b": np.array([0.5, bad])}, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_tensor_name_rejected_on_load(tmp_path):
+    path = tmp_path / "w.cbnw"
+    path.write_bytes(_cbnw("", [1.0]))
+    with pytest.raises(WeightFormatError, match="empty tensor name"):
+        load_weights(path)
+
+
+def test_more_dims_than_numpy_supports_rejected(tmp_path):
+    path = tmp_path / "w.cbnw"
+    path.write_bytes(b"CBNW" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"a"
+                     + struct.pack("<B", 65) + struct.pack("<65I", *[0] * 65))
+    with pytest.raises(WeightFormatError, match="'a' has 65 dims"):
+        load_weights(path)
+
+
+VALID = {"stem.conv.weight": np.linspace(-1.5, 2.0, 12).reshape(2, 1, 2, 3),
+         "stem.bn.gamma": np.array([0.25, -0.0]), "e": np.zeros((0, 3))}
+
+
+def _valid_blob():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.cbnw")
+        save_weights(VALID, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _mutations(draw):
+    blob = bytearray(_valid_blob())
+    blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+CBNW_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: b"CBNW" + struct.pack("<II", 1, 1) + tail),
+    st.composite(_mutations)(),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(CBNW_BYTES)
+def test_any_bytes_raise_format_error_or_round_trip(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "in.cbnw"), os.path.join(tmp, "out.cbnw")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            named = load_weights(path)
+        except WeightFormatError:
+            return
+        save_weights(named, again)
+        with open(again, "rb") as fh:
+            assert fh.read() == blob
