@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -435,16 +434,20 @@ def _head_state(head):
 # -- verification ----------------------------------------------------------------
 
 
-def _first_reader(steps, arr):
-    """Index of the first step that reads arr, as an input tensor or through
-    its layer's parameters; 0 when no step is known to read it (a wrapping
+_PROBE_CHUNK = 32  # elements probed per stacked replay, two probes each
+
+
+def _readers(steps, arr):
+    """Indices of the steps that read arr, as an input tensor or through
+    their layer's parameters; every step when none is known to (a wrapping
     layer may hide its parameters)."""
+    found = set()
     for s, (layer, xs, _, _) in enumerate(steps):
         params = getattr(layer, "params", None)
         if any(x.data is arr for x in xs) or (
                 params is not None and any(v is arr for _, v, _ in _learnables(params))):
-            return s
-    return 0
+            found.add(s)
+    return found or set(range(len(steps)))
 
 
 def model_gradcheck(net: CBNet, image: Tensor4, epsilon=1e-5, loss_seed=0) -> float:
@@ -456,40 +459,49 @@ def model_gradcheck(net: CBNet, image: Tensor4, epsilon=1e-5, loss_seed=0) -> fl
     uses); running stats are snapshotted and restored since probe passes
     fold batch statistics into them.
 
-    A probe re-runs only the recorded ops from the first one that reads the
-    perturbed array: no earlier op reads it, and training-mode batchnorm
-    outputs do not depend on the running stats, so the earlier outputs are
-    exactly what a fresh forward would compute.  The check stops at the
-    first non-finite probe loss, as engine.gradcheck does.
+    Probes (+epsilon, then -epsilon, per element) replay the recorded tape
+    as one stack of up to _PROBE_CHUNK elements (`Tape.replay`).  Ops that
+    do not depend on the perturbed array keep their recorded outputs,
+    which is exactly what a fresh forward would compute, since
+    training-mode batchnorm outputs do not depend on the running stats.
+    The check stops after the first chunk with a non-finite probe loss.
     """
     snapshot = [(p, p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
     old_modes = [(p, p.mode) for p in net.bn_params()]
     set_mode(net, "training")
     rng = np.random.default_rng(loss_seed)
-    probe = cbnet_forward(net, image)
-    coeffs = [rng.standard_normal(lvl.dims) for lvl in probe.levels]
-
     try:
         for _, _, grad in net.unique_learnables():
             grad[:] = 0.0
         tape = Tape()
         pyramid = net.forward(image, tape)
+        coeffs = [rng.standard_normal(lvl.dims) for lvl in pyramid.levels]
         tape.backward(list(zip(pyramid.levels, coeffs)))
         checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
         checks.append((image.data, image.grad.copy()))
-
-        def loss_from(start):
-            fresh = tape.replay(start)
-            levels = [fresh.get(lvl, lvl) for lvl in pyramid.levels]
-            return float(sum((c * lvl.data).sum() for c, lvl in zip(coeffs, levels)))
+        recorded = [(c * lvl.data).sum() for c, lvl in zip(coeffs, pyramid.levels)]
 
         worst = 0.0
         for arr, analytic in checks:
-            err = engine.gradcheck(partial(loss_from, _first_reader(tape.steps, arr)),
-                                   [(arr, analytic)], epsilon)
-            if err == float("inf"):
-                return err
-            worst = max(worst, err)
+            readers = _readers(tape.steps, arr)
+            flat = analytic.reshape(-1)
+            for start in range(0, arr.size, _PROBE_CHUNK):
+                elems = range(start, min(start + _PROBE_CHUNK, arr.size))
+                probes = [(i, v) for i in elems
+                          for v in (arr.flat[i] + epsilon, arr.flat[i] - epsilon)]
+                stacked = tape.replay(arr, probes, readers, pyramid.levels)
+                # per probe, the same sums as a fresh forward's projection
+                terms = [(c.reshape(-1) * stacked[lvl].data.reshape(len(probes), -1)).sum(axis=1)
+                         if lvl in stacked else term
+                         for c, lvl, term in zip(coeffs, pyramid.levels, recorded)]
+                losses = np.broadcast_to(sum(terms), len(probes))
+                for j, i in enumerate(elems):
+                    err = engine._central_error(flat[i], losses[2 * j], losses[2 * j + 1],
+                                                epsilon)
+                    if err == float("inf"):
+                        return err
+                    if err > worst:
+                        worst = float(err)
         return worst
     finally:
         image.grad = None

@@ -25,9 +25,14 @@ class ConfigError(ValueError):
 
 
 class Tensor4:
-    """A (n, c, h, w) float64 array plus an optional gradient buffer."""
+    """A (n, c, h, w) float64 array plus an optional gradient buffer.
 
-    __slots__ = ("data", "grad")
+    `group` is None except on a stack of probes built by `Tape.replay`,
+    where it is the batch size of one probe: training batchnorm then
+    normalizes each run of `group` samples on its own.
+    """
+
+    __slots__ = ("data", "grad", "group")
 
     def __init__(self, data, grad=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -35,6 +40,7 @@ class Tensor4:
             raise ShapeError(f"Tensor4 needs 4 dims, got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
         self.grad = grad
+        self.group = None
 
     @property
     def dims(self):
@@ -215,32 +221,49 @@ def _bn_check(x, p):
             f"batchnorm: input shape {x.shape} does not match {p.channels} channels")
 
 
-def _bn_stats(x, p):
+def _bn_stats(x, p, group=None):
     """(mean, variance, x - mean) that normalize x: the biased batch
     statistics in training mode, the running estimates in inference mode.
 
-    The batch statistics are sum / m and the mean of the squared centred
-    input, which is what np.mean and np.var compute, bit for bit, while
-    centring x only once.
+    Training statistics are taken over each run of `group` consecutive
+    samples, all of x when None; they have shape (c,) then and one row per
+    group, (groups, c), otherwise.  They are sum / m and the mean of the
+    squared centred input, which is what np.mean and np.var compute, bit
+    for bit, while centring x only once.
     """
     if p.mode == "training":
-        m = x.size // x.shape[1]
-        mu = x.sum(axis=(0, 2, 3)) / m
-        xc = x - mu[None, :, None, None]
-        return mu, (xc * xc).sum(axis=(0, 2, 3)) / m, xc
+        n, c, h, w = x.shape
+        xg = x.reshape(-1, group or n, c, h, w)
+        m = xg.shape[1] * h * w
+        mu = xg.sum(axis=(1, 3, 4)) / m
+        xc = xg - mu[:, None, :, None, None]
+        var = (xc * xc).sum(axis=(1, 3, 4)) / m
+        if group is None:
+            mu, var = mu[0], var[0]
+        return mu, var, xc.reshape(x.shape)
     return p.running_mean, p.running_var, x - p.running_mean[None, :, None, None]
 
 
-def _bn_forward(x, p):
+def _per_sample(v, n):
+    """Per-channel statistics shaped to broadcast against n samples:
+    (c,) for all of them, or (groups, c) with one row per group."""
+    if v.ndim == 1:
+        return v[None, :, None, None]
+    return np.repeat(v, n // len(v), axis=0)[:, :, None, None]
+
+
+def _bn_forward(x, p, group=None):
+    """Batchnorm of x; a probe stack (`group` set) is normalized group by
+    group and never folds into the running statistics."""
     _bn_check(x, p)
-    mu, var, xc = _bn_stats(x, p)
-    if p.mode == "training":
+    mu, var, xc = _bn_stats(x, p, group)
+    if p.mode == "training" and group is None:
         p.running_mean *= BN_MOMENTUM
         p.running_mean += (1.0 - BN_MOMENTUM) * mu
         p.running_var *= BN_MOMENTUM
         p.running_var += (1.0 - BN_MOMENTUM) * var
     istd = 1.0 / np.sqrt(var + p.epsilon)
-    xhat = xc * istd[None, :, None, None]
+    xhat = xc * _per_sample(istd, len(x))
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
     return y, (mu, istd, xhat)
 
@@ -383,7 +406,7 @@ class BatchNormLayer:
         self.params = params
 
     def forward(self, x):
-        y, cache = _bn_forward(x.data, self.params)
+        y, cache = _bn_forward(x.data, self.params, x.group)
         return Tensor4(y), (x, cache)
 
     def backward(self, ctx, grad_out):
@@ -459,16 +482,58 @@ class Tape:
             self.steps.append((layer, xs, y, ctx))
         return y
 
-    def replay(self, start):
-        """Re-execute steps[start:] against the current contents of the
-        parameters and inputs, recording nothing; returns {recorded output:
-        fresh output} for those steps.  The outputs of earlier steps are
-        reused as recorded, so this equals a fresh forward only while no
-        step before `start` reads an array changed since the recording."""
-        fresh = {}
-        for layer, xs, y, _ in self.steps[start:]:
-            fresh[y], _ = layer.forward(*(fresh.get(x, x) for x in xs))
-        return fresh
+    def replay(self, arr, probes, readers, keep):
+        """Re-run the steps that depend on arr for a stack of P probes,
+        probe p setting arr.flat[i] = v for (i, v) = probes[p].
+
+        A step in `readers` (the steps that read arr) runs once per probe
+        on that probe's n-sample slice of its inputs, and its outputs are
+        stacked into P*n samples.  A later step that reads a stacked output
+        runs once on the stack, its unchanged operands repeated P times;
+        the stack's `group` is n, so training batchnorm normalizes each
+        probe on its own.  Other steps keep their recorded outputs.
+
+        Returns {recorded output: stacked output} for the outputs in
+        `keep`; any other stacked output is dropped after its last reader.
+        """
+        last = {}
+        for s, (_, xs, y, _) in enumerate(self.steps):
+            for t in (*xs, y):
+                last[t] = s
+        keep = set(keep)
+        stacked = {}
+
+        def probe_slice(t, p):
+            st = stacked.get(t)
+            if st is None:
+                return t
+            n = len(t.data)
+            return Tensor4(st.data[p * n:(p + 1) * n])
+
+        for s, (layer, xs, y, _) in enumerate(self.steps):
+            if s in readers:
+                outs = []
+                for p, (i, v) in enumerate(probes):
+                    orig = arr.flat[i]
+                    arr.flat[i] = v
+                    try:
+                        out, _ = layer.forward(*(probe_slice(x, p) for x in xs))
+                    finally:
+                        arr.flat[i] = orig
+                    outs.append(out.data)
+                out = Tensor4(np.concatenate(outs))
+            elif any(x in stacked for x in xs):
+                out, _ = layer.forward(*(
+                    stacked[x] if x in stacked else Tensor4(np.tile(x.data, (len(probes), 1, 1, 1)))
+                    for x in xs))
+            else:
+                continue
+            out.group = len(y.data)
+            stacked[y] = out
+            for t in (*xs, y):
+                if last[t] == s and t not in keep:
+                    stacked.pop(t, None)
+        return stacked
 
     def backward(self, seeds):
         if not self.recording:
@@ -485,14 +550,23 @@ class Tape:
                     x.accumulate_grad(gx)
 
 
+def _central_error(analytic, up, down, epsilon):
+    """Relative error of a central difference against the analytic value,
+    with a unit absolute floor so near-zero gradients compare absolutely;
+    inf when either probe loss is non-finite."""
+    if not (np.isfinite(up) and np.isfinite(down)):
+        return float("inf")
+    numeric = (up - down) / (2.0 * epsilon)
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
+
+
 def gradcheck(loss_fn, checks, epsilon=1e-5):
     """Worst disagreement between analytic gradients and central differences.
 
     loss_fn() re-evaluates the scalar loss from the checked arrays' current
     contents; checks is a sequence of (array, analytic_gradient) pairs, each
-    array perturbed element by element.  The error is relative with a unit
-    absolute floor, so near-zero gradients are compared absolutely.  Zero
-    checks give 0.0 by convention; a non-finite probe loss yields inf
+    array perturbed element by element.  The error is `_central_error`'s.
+    Zero checks give 0.0 by convention; a non-finite probe loss yields inf
     instead of raising.
     """
     worst = 0.0
@@ -505,10 +579,9 @@ def gradcheck(loss_fn, checks, epsilon=1e-5):
             arr.flat[i] = orig - epsilon
             down = loss_fn()
             arr.flat[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                return float("inf")
-            numeric = (up - down) / (2.0 * epsilon)
-            rel = abs(flat[i] - numeric) / max(abs(flat[i]), abs(numeric), 1.0)
+            rel = _central_error(flat[i], up, down, epsilon)
+            if rel == float("inf"):
+                return rel
             if rel > worst:
                 worst = float(rel)
     return worst

@@ -71,8 +71,10 @@ def save_weights(named, path):
 
 
 class _Reader:
+    """Cursor over the file's bytes; `take` returns a view, not a copy."""
+
     def __init__(self, blob):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
 
     def take(self, n, what):
@@ -102,7 +104,7 @@ def load_weights(path):
     for _ in range(count):
         nlen = r.u("H", "name length")
         try:
-            name = r.take(nlen, "tensor name").decode("utf-8")
+            name = bytes(r.take(nlen, "tensor name")).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WeightFormatError(f"{path}: undecodable tensor name") from exc
         if not name:
@@ -118,6 +120,7 @@ def load_weights(path):
         for d in dims:
             size *= d
         payload = r.take(8 * size, f"payload of {name!r}")
+        # the one copy of the payload: out of the file's bytes, native-endian
         arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
         if not np.isfinite(arr).all():
             raise WeightFormatError(f"{path}: tensor {name!r} holds NaN or inf")

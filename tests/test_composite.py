@@ -33,7 +33,8 @@ from cbnet import (
     set_mode,
     state_dict,
 )
-from cbnet.composite import _first_reader
+from cbnet import composite
+from cbnet.composite import _PROBE_CHUNK, _readers
 
 SMALL = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
                      image_size=(16, 16))
@@ -403,7 +404,7 @@ def test_cbnw_layout_is_pinned(tmp_path, kw, want):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
-# -- tape-suffix replay ----------------------------------------------------------
+# -- stacked probe replay ----------------------------------------------------------
 
 
 def _toy_configs():
@@ -442,17 +443,25 @@ def test_replay_from_first_reader_equals_fresh_forward(cfg):
     for what, arr in _perturbed_arrays(net, image):
         tape = Tape()
         pyramid = net.forward(image, tape)
-        start = _first_reader(tape.steps, arr)
-        assert (start == 0) == (what == "image"), what
+        readers = _readers(tape.steps, arr)
+        assert (0 in readers) == (what == "image"), what
+        assert len(readers) < len(tape.steps), what
+        # in a 3x3 kernel, flat 4 and size - 5 are centre taps, which every output reads
+        a, b = (4, arr.size - 5) if arr.size >= 9 else (0, arr.size - 1)
+        probes = [(a, arr.flat[a] + 0.25), (b, arr.flat[b] - 0.5), (a, arr.flat[a] - 0.125)]
         orig = arr.copy()
-        arr += 0.25
-        fresh = tape.replay(start)
-        replayed = [fresh.get(lvl, lvl).data for lvl in pyramid.levels]
-        expected = [lvl.data for lvl in net.forward(image, Tape()).levels]
-        arr[...] = orig
-        assert all(np.array_equal(a, b) for a, b in zip(replayed, expected)), what
-        assert not all(np.array_equal(lvl.data, b)
-                       for lvl, b in zip(pyramid.levels, expected)), what
+        stacked = tape.replay(arr, probes, readers, pyramid.levels)
+        assert np.array_equal(arr, orig), what
+        n = image.dims[0]
+        for p, (i, v) in enumerate(probes):
+            arr.flat[i] = v
+            expected = [lvl.data for lvl in net.forward(image, Tape()).levels]
+            arr[...] = orig
+            replayed = [stacked[lvl].data[p * n:(p + 1) * n] if lvl in stacked else lvl.data
+                        for lvl in pyramid.levels]
+            assert all(np.array_equal(a, b) for a, b in zip(replayed, expected)), (what, p)
+            assert not all(np.array_equal(lvl.data, b)
+                           for lvl, b in zip(pyramid.levels, expected)), (what, p)
 
 
 GRADCHECK_CONFIGS = [
@@ -483,9 +492,51 @@ def test_model_gradcheck_stops_at_first_non_finite_probe(monkeypatch):
     net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
     _, value, _ = next(iter(net.unique_learnables()))
     value.flat[0] = np.nan
-    starts = []
+    replayed = []
     replay = Tape.replay
-    monkeypatch.setattr(Tape, "replay",
-                        lambda tape, start: starts.append(start) or replay(tape, start))
+    monkeypatch.setattr(Tape, "replay", lambda tape, arr, probes, readers, keep: (
+        replayed.append((arr, len(probes))) or replay(tape, arr, probes, readers, keep)))
     assert model_gradcheck(net, helpers.random_image(NARROW, 34)) == float("inf")
-    assert len(starts) == 2
+    assert len(replayed) == 1
+    assert replayed[0][0] is value
+    assert replayed[0][1] == 2 * min(value.size, _PROBE_CHUNK)
+
+
+class _HiddenParams:
+    """Wraps a layer and hides its `params`, as the benchmark's op tracer does."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def forward(self, *xs):
+        return self.layer.forward(*xs)
+
+    def backward(self, ctx, grad_out):
+        return self.layer.backward(ctx, grad_out)
+
+
+class _WrappingTape(Tape):
+    def run(self, layer, *xs):
+        return super().run(_HiddenParams(layer), *xs)
+
+
+@pytest.mark.parametrize("kw", GRADCHECK_CONFIGS,
+                         ids=lambda kw: _cfg_id(CBNetConfig(spec=NARROW, **kw)))
+def test_model_gradcheck_is_unchanged_when_layers_hide_their_params(kw, monkeypatch):
+    net = build_cbnet(CBNetConfig(spec=NARROW, **kw), 33)
+    image = helpers.random_image(NARROW, 34)
+    want = model_gradcheck(net, image, loss_seed=5)
+    tape = _WrappingTape()
+    net.forward(image, tape)
+    _, value, _ = next(iter(net.unique_learnables()))
+    assert _readers(tape.steps, value) == set(range(len(tape.steps)))
+    monkeypatch.setattr(composite, "Tape", _WrappingTape)
+    assert model_gradcheck(net, image, loss_seed=5) == want
+
+
+def test_model_gradcheck_restores_modes_when_the_image_is_rejected():
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
+    set_mode(net, "inference")
+    with pytest.raises(ShapeError):
+        model_gradcheck(net, helpers.random_image(TOY_SPEC, 34))
+    assert all(p.mode == "inference" for p in net.bn_params())

@@ -1,17 +1,29 @@
 """Property tests of the engine primitives over random shapes.
 
 Each property is checked against an independent reference: a loop over
-output positions for conv2d, an `np.pad` column builder for `_im2col`,
-and `x.mean` / `x.var` for training-mode batchnorm.  Example generation
-is derandomized, so every run checks the same cases.
+output positions for conv2d and nearest upsampling, an `np.pad` column
+builder for `_im2col`, `x.mean` / `x.var` for training-mode batchnorm, a
+loop over channels for the batchnorm backward, and one `_bn_forward` per
+probe for a grouped probe stack.  Example generation is derandomized, so
+every run checks the same cases.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cbnet import BatchNormParams, ConvParams, Tensor4, batchnorm, conv2d, conv2d_backward
-from cbnet.engine import BN_MOMENTUM, _im2col
+from cbnet import (
+    BatchNormParams,
+    ConvParams,
+    Tensor4,
+    batchnorm,
+    batchnorm_backward,
+    conv2d,
+    conv2d_backward,
+    upsample_nearest,
+    upsample_nearest_backward,
+)
+from cbnet.engine import BN_MOMENTUM, _bn_forward, _im2col
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -117,3 +129,80 @@ def test_training_batchnorm_equals_mean_var_reference(n, c, h, w, seed):
     want_var += (1.0 - BN_MOMENTUM) * var
     assert np.array_equal(p.running_mean, want_mean)
     assert np.array_equal(p.running_var, want_var)
+
+
+def _bn_case(rng, n, c, h, w, mode):
+    x = rng.standard_normal((n, c, h, w)) * rng.uniform(0.1, 10.0) + rng.uniform(-5.0, 5.0)
+    p = BatchNormParams(rng.uniform(0.5, 1.5, c), rng.standard_normal(c),
+                        rng.standard_normal(c), rng.uniform(0.5, 2.0, c), mode=mode)
+    return x, p
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_grouped_training_batchnorm_equals_one_call_per_group(groups, n, c, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x, p = _bn_case(rng, groups * n, c, h, w, "training")
+    mean0, var0 = p.running_mean.copy(), p.running_var.copy()
+    y, (mu, istd, xhat) = _bn_forward(x, p, group=n)
+    assert np.array_equal(p.running_mean, mean0) and np.array_equal(p.running_var, var0)
+    for g in range(groups):
+        rows = slice(g * n, (g + 1) * n)
+        want_y, (want_mu, want_istd, want_xhat) = _bn_forward(x[rows], p)
+        assert np.array_equal(y[rows], want_y)
+        assert np.array_equal(xhat[rows], want_xhat)
+        assert np.array_equal(mu[g], want_mu) and np.array_equal(istd[g], want_istd)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_upsample_matches_loop_oracle(n, c, h, w, fh, fw, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor4(rng.standard_normal((n, c, h, w)))
+    g = rng.standard_normal((n, c, h * fh, w * fw))
+    want_y, want_gx = np.empty_like(g), np.zeros_like(x.data)
+    for i in range(h * fh):
+        for j in range(w * fw):
+            want_y[:, :, i, j] = x.data[:, :, i // fh, j // fw]
+            want_gx[:, :, i // fh, j // fw] += g[:, :, i, j]
+    assert np.array_equal(upsample_nearest(x, (h * fh, w * fw)).data, want_y)
+    gx = upsample_nearest_backward(x, g)
+    assert gx.shape == x.dims
+    np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
+
+
+def bn_backward_oracle(x, p, g):
+    """(input, gamma, beta) gradients of batchnorm, one channel at a time,
+    from the textbook closed form of the normalization's derivative."""
+    gx = np.empty_like(x)
+    gg, gb = np.empty(p.channels), np.empty(p.channels)
+    for ch in range(p.channels):
+        xs, gs = x[:, ch], g[:, ch]
+        if p.mode == "training":
+            m = xs.size
+            mu, var = xs.mean(), xs.var()
+        else:
+            mu, var = p.running_mean[ch], p.running_var[ch]
+        istd = 1.0 / np.sqrt(var + p.epsilon)
+        xhat = (xs - mu) * istd
+        gxhat = gs * p.gamma[ch]
+        if p.mode == "training":
+            gx[:, ch] = istd / m * (m * gxhat - gxhat.sum() - xhat * (gxhat * xhat).sum())
+        else:
+            gx[:, ch] = gxhat * istd
+        gg[ch], gb[ch] = (gs * xhat).sum(), gs.sum()
+    return gx, gg, gb
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from(["training", "inference"]), st.integers(0, 2 ** 32 - 1))
+def test_batchnorm_backward_matches_loop_oracle(n, c, h, w, mode, seed):
+    rng = np.random.default_rng(seed)
+    x, p = _bn_case(rng, n, c, h, w, mode)
+    g = rng.standard_normal(x.shape)
+    for got, want in zip(batchnorm_backward(Tensor4(x), p, g), bn_backward_oracle(x, p, g)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
