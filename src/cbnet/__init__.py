@@ -37,6 +37,7 @@ from .composite import (
     CompositeConnection,
     CompositeStyle,
     FeaturePyramid,
+    WithHead,
     apply_state,
     build_cbnet,
     cbnet_forward,

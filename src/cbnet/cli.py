@@ -20,6 +20,7 @@ from .backbone import TOY_SPEC, BackboneSpec
 from .composite import (
     CBNetConfig,
     CompositeStyle,
+    WithHead,
     apply_state,
     build_cbnet,
     cbnet_forward,
@@ -28,7 +29,6 @@ from .composite import (
     flop_count,
     model_gradcheck,
     param_count,
-    state_dict,
 )
 from .engine import ConfigError, ShapeError, Tensor4
 from .task import (
@@ -70,7 +70,7 @@ def _model_flags(p):
 def _config(args, spec=None):
     return CBNetConfig(
         num_backbones=args.k,
-        style=CompositeStyle.parse(args.style),
+        style=CompositeStyle(args.style),
         share_weights=args.share_weights,
         accelerated=args.accelerated,
         spec=spec or BackboneSpec(),
@@ -83,17 +83,6 @@ def _ensure_outdir(path):
     with open(probe, "wb"):
         pass
     os.remove(probe)
-
-
-def _load_into(net, head, path):
-    apply_state(net, load_weights(path), head=head)
-
-
-def _full_state(net, head):
-    named = state_dict(net)
-    for name, value in head.state():
-        named[f"head.{name}"] = value
-    return named
 
 
 def cmd_summarize(args):
@@ -133,14 +122,14 @@ def cmd_train(args):
         raise ConfigError(f"cannot write weights to {weights_out!r}")
     net, head, dataset = build_task(cfg, args.seed, args.n)
     if args.weights_in:
-        _load_into(net, head, args.weights_in)
+        apply_state(net, load_weights(args.weights_in), head=head)
     log = train(net, head, dataset, args.steps, args.lr, sub_seed(args.seed, SGD_SEED))
     csv_path = os.path.join(args.out, "loss.csv")
     with open(csv_path, "w") as fh:
         fh.write("step,loss\n")
         for i, value in enumerate(log.losses):
             fh.write(f"{i},{value!r}\n")
-    save_weights(_full_state(net, head), weights_out)
+    save_weights(dict(WithHead(net, head).state()), weights_out)
     print(f"wrote {csv_path}")
     print(f"wrote {weights_out}")
     print(f"cell_f1={log.final_metrics['cell_f1']!r} "
@@ -151,7 +140,7 @@ def cmd_train(args):
 def cmd_eval(args):
     net, head, dataset = build_task(_config(args), args.seed, args.n)
     if args.weights_in:
-        _load_into(net, head, args.weights_in)
+        apply_state(net, load_weights(args.weights_in), head=head)
     metrics = evaluate(net, head, dataset)
     print(f"cell_f1={metrics['cell_f1']!r} class_accuracy={metrics['class_accuracy']!r}")
     return 0

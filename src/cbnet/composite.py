@@ -59,13 +59,6 @@ class CompositeStyle(enum.Enum):
     ALLC = "allc"
     DHLC = "dhlc"
 
-    @classmethod
-    def parse(cls, text):
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ConfigError(f"unknown composite style {text!r}") from None
-
 
 @dataclass(frozen=True)
 class CBNetConfig:
@@ -214,6 +207,18 @@ class CBNet(Module):
         return [(f"b{k}", bb) for k, bb in enumerate(self.backbones, 1)] + [
             ("g." + ".".join(str(part) for part in key), conn)
             for key, conn in self.connections.items()]
+
+
+class WithHead(Module):
+    """A net and its head, trained, saved and loaded together; `state()` is
+    the `cbnet train` weight file, the net's tensors, then the head's as
+    "head.*"."""
+
+    def __init__(self, net, head):
+        self.net, self.head = net, head
+
+    def children(self):
+        return self.net.children() + [("head", self.head)]
 
 
 def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
@@ -374,61 +379,35 @@ def apply_state(net: CBNet, named, head=None):
 
     A single-backbone file (names starting with "stem.") is replicated
     into every backbone, emulating initialization from a pretrained single
-    backbone; connections keep their current values.  Otherwise names must
-    cover the model exactly; "head.*" entries go to `head` when given and
-    are ignored when not.  Every name and shape is checked before anything
-    is copied, so a mismatched file leaves the model untouched.
+    backbone; connections keep their current values.  Any other file must
+    cover the net, and the head too when `head` is given and the file has
+    "head.*" entries.  Without `head` those entries are ignored; any other
+    name the model lacks is rejected.  Every name and shape is checked
+    before anything is copied, so a mismatched file leaves the model
+    untouched.
     """
     if any(name.startswith("stem.") for name in named):
-        copies = []
-        for bb in net.backbones:
-            for name, value in bb.state():
-                if name not in named:
-                    raise WeightsMismatch(f"file lacks tensor {name!r} needed by a backbone")
-                copies.append((name, value, named[name]))
+        targets = [pair for bb in net.backbones for pair in bb.state()]
+    elif head is not None and any(name.startswith("head.") for name in named):
+        targets = list(WithHead(net, head).state())
     else:
-        copies = _full_copies(net, named, head)
-    for name, dest, src in copies:
-        if dest.shape != src.shape:
-            raise WeightsMismatch(
-                f"tensor {name!r}: file shape {src.shape} != model shape {dest.shape}")
-    for _, dest, src in copies:
-        dest[:] = src
-
-
-def _full_copies(net, named, head):
-    """(name, model array, file array) for a file that covers the model."""
-    model = dict(net.state())
-    head_targets = dict(_head_state(head)) if head is not None else None
-    copies = []
-    for name, arr in named.items():
-        if name in model:
-            copies.append((name, model[name], arr))
-        elif name.startswith("head."):
-            if head_targets is None:
-                continue
-            if name not in head_targets:
-                raise WeightsMismatch(f"unknown head tensor {name!r}")
-            copies.append((name, head_targets[name], arr))
-        else:
+        targets = list(net.state())
+    held = {name for name, _ in targets}
+    for name in named:
+        if name not in held and (head is not None or not name.startswith("head.")):
             raise WeightsMismatch(f"tensor {name!r} does not exist in this model")
-    for name in model:
+    for name, dest in targets:
         if name not in named:
             raise WeightsMismatch(f"file lacks model tensor {name!r}")
-    if head_targets is not None and any(n.startswith("head.") for n in named):
-        for name in head_targets:
-            if name not in named:
-                raise WeightsMismatch(f"file lacks head tensor {name!r}")
-    return copies
+        if dest.shape != named[name].shape:
+            raise WeightsMismatch(
+                f"tensor {name!r}: file shape {named[name].shape} != model shape {dest.shape}")
+    for name, dest in targets:
+        dest[:] = named[name]
 
 
 class WeightsMismatch(ValueError):
     """Loaded tensors do not line up with the model being filled."""
-
-
-def _head_state(head):
-    for name, value in head.state():
-        yield f"head.{name}", value
 
 
 # -- verification ----------------------------------------------------------------
@@ -450,7 +429,7 @@ def _readers(steps, arr):
     return found or set(range(len(steps)))
 
 
-def model_gradcheck(net: CBNet, image: Tensor4, epsilon=1e-5, loss_seed=0) -> float:
+def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     """Finite-difference check of the whole model.
 
     The scalar under test is a fixed random projection of all pyramid
@@ -459,7 +438,7 @@ def model_gradcheck(net: CBNet, image: Tensor4, epsilon=1e-5, loss_seed=0) -> fl
     uses); running stats are snapshotted and restored since probe passes
     fold batch statistics into them.
 
-    Probes (+epsilon, then -epsilon, per element) replay the recorded tape
+    Probes (+step, then -step, per element) replay the recorded tape
     as one stack of up to _PROBE_CHUNK elements (`Tape.replay`).  Ops that
     do not depend on the perturbed array keep their recorded outputs,
     which is exactly what a fresh forward would compute, since
@@ -488,7 +467,7 @@ def model_gradcheck(net: CBNet, image: Tensor4, epsilon=1e-5, loss_seed=0) -> fl
             for start in range(0, arr.size, _PROBE_CHUNK):
                 elems = range(start, min(start + _PROBE_CHUNK, arr.size))
                 probes = [(i, v) for i in elems
-                          for v in (arr.flat[i] + epsilon, arr.flat[i] - epsilon)]
+                          for v in (arr.flat[i] + engine._FD_STEP, arr.flat[i] - engine._FD_STEP)]
                 stacked = tape.replay(arr, probes, readers, pyramid.levels)
                 # per probe, the same sums as a fresh forward's projection
                 terms = [(c.reshape(-1) * stacked[lvl].data.reshape(len(probes), -1)).sum(axis=1)
@@ -496,8 +475,7 @@ def model_gradcheck(net: CBNet, image: Tensor4, epsilon=1e-5, loss_seed=0) -> fl
                          for c, lvl, term in zip(coeffs, pyramid.levels, recorded)]
                 losses = np.broadcast_to(sum(terms), len(probes))
                 for j, i in enumerate(elems):
-                    err = engine._central_error(flat[i], losses[2 * j], losses[2 * j + 1],
-                                                epsilon)
+                    err = engine._central_error(flat[i], losses[2 * j], losses[2 * j + 1])
                     if err == float("inf"):
                         return err
                     if err > worst:

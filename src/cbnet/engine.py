@@ -14,6 +14,7 @@ import numpy as np
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
+_FD_STEP = 1e-5  # central-difference step of the gradient checks
 
 
 class ShapeError(ValueError):
@@ -34,12 +35,12 @@ class Tensor4:
 
     __slots__ = ("data", "grad", "group")
 
-    def __init__(self, data, grad=None):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"Tensor4 needs 4 dims, got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
-        self.grad = grad
+        self.grad = None
         self.group = None
 
     @property
@@ -103,8 +104,7 @@ class BatchNormParams:
     mode the running estimates are used and nothing is mutated.
     """
 
-    def __init__(self, gamma, beta, running_mean, running_var,
-                 epsilon=BN_EPS, mode="inference"):
+    def __init__(self, gamma, beta, running_mean, running_var, mode="inference"):
         gamma = np.ascontiguousarray(np.asarray(gamma, dtype=np.float64))
         beta = np.ascontiguousarray(np.asarray(beta, dtype=np.float64))
         running_mean = np.ascontiguousarray(np.asarray(running_mean, dtype=np.float64))
@@ -114,8 +114,6 @@ class BatchNormParams:
                         ("running_var", running_var)):
             if v.shape != (c,):
                 raise ShapeError(f"batchnorm {name} shape {v.shape} != gamma shape {(c,)}")
-        if epsilon <= 0.0:
-            raise ConfigError(f"batchnorm epsilon must be positive, got {epsilon}")
         if np.any(running_var < 0.0):
             raise ConfigError("batchnorm running_var has negative entries")
         if mode not in ("training", "inference"):
@@ -124,7 +122,7 @@ class BatchNormParams:
         self.beta = beta
         self.running_mean = running_mean
         self.running_var = running_var
-        self.epsilon = float(epsilon)
+        self.epsilon = BN_EPS
         self.mode = mode
         self.gamma_grad = np.zeros_like(gamma)
         self.beta_grad = np.zeros_like(beta)
@@ -550,22 +548,23 @@ class Tape:
                     x.accumulate_grad(gx)
 
 
-def _central_error(analytic, up, down, epsilon):
+def _central_error(analytic, up, down):
     """Relative error of a central difference against the analytic value,
     with a unit absolute floor so near-zero gradients compare absolutely;
     inf when either probe loss is non-finite."""
     if not (np.isfinite(up) and np.isfinite(down)):
         return float("inf")
-    numeric = (up - down) / (2.0 * epsilon)
+    numeric = (up - down) / (2.0 * _FD_STEP)
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
 
 
-def gradcheck(loss_fn, checks, epsilon=1e-5):
+def gradcheck(loss_fn, checks):
     """Worst disagreement between analytic gradients and central differences.
 
     loss_fn() re-evaluates the scalar loss from the checked arrays' current
     contents; checks is a sequence of (array, analytic_gradient) pairs, each
-    array perturbed element by element.  The error is `_central_error`'s.
+    array perturbed element by element, _FD_STEP either way.  The error is
+    `_central_error`'s.
     Zero checks give 0.0 by convention; a non-finite probe loss yields inf
     instead of raising.
     """
@@ -574,12 +573,12 @@ def gradcheck(loss_fn, checks, epsilon=1e-5):
         flat = np.asarray(analytic, dtype=np.float64).reshape(-1)
         for i in range(arr.size):
             orig = arr.flat[i]
-            arr.flat[i] = orig + epsilon
+            arr.flat[i] = orig + _FD_STEP
             up = loss_fn()
-            arr.flat[i] = orig - epsilon
+            arr.flat[i] = orig - _FD_STEP
             down = loss_fn()
             arr.flat[i] = orig
-            rel = _central_error(flat[i], up, down, epsilon)
+            rel = _central_error(flat[i], up, down)
             if rel == float("inf"):
                 return rel
             if rel > worst:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import BackboneSpec, Module, _init_conv
-from .composite import CBNet, CBNetConfig, build_cbnet, set_mode
+from .composite import CBNet, CBNetConfig, WithHead, build_cbnet, set_mode
 from .engine import ConfigError, Conv2dLayer, GAP, ShapeError, Tape, Tensor4
 
 GRID_STRIDE = 4
@@ -178,15 +178,13 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     Batchnorm runs in training mode during the steps and is switched back
     to inference for the final metrics.  Aborts on a non-finite loss.
     """
+    if not dataset:
+        raise ConfigError("cannot train on an empty dataset")
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     if not 0 <= lr < np.inf:
         raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
-    params = list(net.unique_learnables())
-    seen_params = {id(v) for _, v, _ in params}
-    for name, value, grad in head.learnables():
-        if id(value) not in seen_params:
-            params.append((f"head.{name}", value, grad))
+    params = list(WithHead(net, head).unique_learnables())
     grad_seen = {name: False for name, _, _ in params}
 
     rng = np.random.default_rng(seed)

@@ -158,7 +158,7 @@ def pyramid_oracle(net, image):
 # -- whole-model gradient check -------------------------------------------------
 
 
-def model_gradcheck_reference(net, image, epsilon=1e-5, loss_seed=0):
+def model_gradcheck_reference(net, image, loss_seed=0):
     """`model_gradcheck` as a full fresh forward per probe: the same loss
     projection, the same checked arrays in the same order, one gradcheck."""
     snapshot = [(p, p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
@@ -180,7 +180,7 @@ def model_gradcheck_reference(net, image, epsilon=1e-5, loss_seed=0):
         tape.backward(list(zip(pyramid.levels, coeffs)))
         checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
         checks.append((image.data, image.grad.copy()))
-        return gradcheck(loss_fn, checks, epsilon)
+        return gradcheck(loss_fn, checks)
     finally:
         image.grad = None
         for _, _, grad in net.unique_learnables():

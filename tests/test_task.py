@@ -10,6 +10,7 @@ from cbnet import (
     ConfigError,
     Tensor4,
     TrainingDivergedError,
+    WithHead,
     build_cbnet,
     build_head,
     cbnet_forward,
@@ -157,6 +158,19 @@ def _tiny_setup(seed=42, n=8, k=1, image_size=64):
     return net, head, data
 
 
+def test_with_head_appends_the_head_as_head_names_and_counts_shared_arrays_once():
+    net = build_cbnet(CBNetConfig(num_backbones=2, share_weights=True, spec=SMALL), 1)
+    head = build_head(SMALL, 2)
+    joint = WithHead(net, head)
+    want = list(net.state()) + [(f"head.{name}", value) for name, value in head.state()]
+    assert [(name, id(value)) for name, value in joint.state()] == \
+        [(name, id(value)) for name, value in want]
+    want = list(net.unique_learnables()) + [
+        (f"head.{name}", value, grad) for name, value, grad in head.learnables()]
+    assert [(name, id(value), id(grad)) for name, value, grad in joint.unique_learnables()] \
+        == [(name, id(value), id(grad)) for name, value, grad in want]
+
+
 def test_zero_lr_keeps_parameters_bit_identical():
     net, head, data = _tiny_setup()
     before = {n: v.copy() for n, v, _ in net.unique_learnables()}
@@ -215,6 +229,15 @@ def test_train_rejects_non_finite_or_negative_lr(lr):
     net, head, data = _tiny_setup(n=2)
     with pytest.raises(ConfigError, match="learning rate must be finite and >= 0"):
         train(net, head, data, steps=1, lr=lr, seed=0)
+
+
+def test_train_rejects_empty_dataset_before_touching_modes():
+    net, head, _ = _tiny_setup(n=1)
+    for p in net.bn_params():
+        p.mode = "training"
+    with pytest.raises(ConfigError, match="empty dataset"):
+        train(net, head, [], steps=1, lr=0.05, seed=0)
+    assert all(p.mode == "training" for p in net.bn_params())
 
 
 # values recorded from the reference run of this exact budget; the loose

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tempfile
 
@@ -14,6 +15,7 @@ from cbnet import (
     apply_state,
     build_backbone,
     build_cbnet,
+    build_head,
     load_weights,
     save_weights,
     state_dict,
@@ -145,6 +147,90 @@ def test_failed_single_backbone_load_leaves_model_untouched():
     with pytest.raises(WeightsMismatch, match=last):
         apply_state(net, named)
     assert _model_bytes(net) == before
+
+
+@pytest.mark.parametrize("extra", ["stage9.conv1.weight", "junk"])
+def test_single_backbone_file_rejects_names_no_backbone_holds(extra):
+    named = {name: value + 1.0 for name, value in build_backbone(SMALL, 7).state()}
+    named[extra] = np.ones(2)
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 8)
+    before = _model_bytes(net)
+    with pytest.raises(WeightsMismatch, match=re.escape(repr(extra))):
+        apply_state(net, named)
+    assert _model_bytes(net) == before
+
+
+def test_single_backbone_file_loads_into_accelerated_net():
+    spec = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
+                        image_size=(16, 16))
+    single = dict(build_backbone(spec, 9).state())
+    net = build_cbnet(CBNetConfig(num_backbones=2, accelerated=True, spec=spec), 10)
+    apply_state(net, single)
+    for bb in net.backbones:
+        for name, value in bb.state():
+            assert np.array_equal(value, single[name]), name
+
+
+# -- the head rules of a full file ---------------------------------------------------
+
+
+def _net_and_head():
+    return build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 11), build_head(SMALL, 12)
+
+
+def _file_with_head():
+    """A `cbnet train` layout: the net's tensors, then the head's as "head.*"."""
+    net, head = build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 13), build_head(SMALL, 14)
+    named = {name: value + 1.0 for name, value in state_dict(net).items()}
+    named.update({f"head.{name}": value + 1.0 for name, value in head.state()})
+    return named
+
+
+def test_file_with_head_loads_net_and_head():
+    net, head = _net_and_head()
+    named = _file_with_head()
+    apply_state(net, named, head=head)
+    for name, value in net.state():
+        assert np.array_equal(value, named[name]), name
+    for name, value in head.state():
+        assert np.array_equal(value, named[f"head.{name}"]), name
+
+
+def test_file_without_head_tensors_loads_net_and_leaves_head_untouched():
+    net, head = _net_and_head()
+    named = {name: value for name, value in _file_with_head().items()
+             if not name.startswith("head.")}
+    before = _model_bytes(head)
+    apply_state(net, named, head=head)
+    for name, value in net.state():
+        assert np.array_equal(value, named[name]), name
+    assert _model_bytes(head) == before
+
+
+@pytest.mark.parametrize("defect", ["missing", "unknown"])
+def test_bad_head_tensor_is_named_and_nothing_is_copied(defect):
+    net, head = _net_and_head()
+    named = _file_with_head()
+    if defect == "missing":
+        bad = "head.cls.bias"
+        del named[bad]
+    else:
+        bad = "head.box.weight"
+        named[bad] = np.ones(3)
+    before = _model_bytes(net), _model_bytes(head)
+    with pytest.raises(WeightsMismatch, match=re.escape(repr(bad))):
+        apply_state(net, named, head=head)
+    assert (_model_bytes(net), _model_bytes(head)) == before
+
+
+def test_head_tensors_are_ignored_without_a_head():
+    net, _ = _net_and_head()
+    named = _file_with_head()
+    del named["head.cls.bias"]
+    named["head.box.weight"] = np.ones(3)
+    apply_state(net, named)
+    for name, value in net.state():
+        assert np.array_equal(value, named[name]), name
 
 
 def test_failed_save_leaves_no_file(tmp_path):
