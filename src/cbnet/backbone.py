@@ -78,7 +78,7 @@ TOY_SPEC = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
 
 def _learnables(p):
     if isinstance(p, ConvParams):
-        return (("weight", p.weight.data, p.weight.grad), ("bias", p.bias, p.bias_grad))
+        return (("weight", p.weight.data, p.weight_grad), ("bias", p.bias, p.bias_grad))
     return (("gamma", p.gamma, p.gamma_grad), ("beta", p.beta, p.beta_grad))
 
 

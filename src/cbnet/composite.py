@@ -382,9 +382,9 @@ def apply_state(net: CBNet, named, head=None):
     backbone; connections keep their current values.  Any other file must
     cover the net, and the head too when `head` is given and the file has
     "head.*" entries.  Without `head` those entries are ignored; any other
-    name the model lacks is rejected.  Every name and shape is checked
-    before anything is copied, so a mismatched file leaves the model
-    untouched.
+    name the model lacks is rejected, and so are differing copies of one
+    shared array.  All of this is checked before anything is copied, so a
+    mismatched file leaves the model untouched.
     """
     if any(name.startswith("stem.") for name in named):
         targets = [pair for bb in net.backbones for pair in bb.state()]
@@ -396,12 +396,17 @@ def apply_state(net: CBNet, named, head=None):
     for name in named:
         if name not in held and (head is not None or not name.startswith("head.")):
             raise WeightsMismatch(f"tensor {name!r} does not exist in this model")
+    first = {}  # id(array) -> first name; a shared array has one per backbone
     for name, dest in targets:
         if name not in named:
             raise WeightsMismatch(f"file lacks model tensor {name!r}")
         if dest.shape != named[name].shape:
             raise WeightsMismatch(
                 f"tensor {name!r}: file shape {named[name].shape} != model shape {dest.shape}")
+        other = first.setdefault(id(dest), name)
+        if other != name and not np.array_equal(named[other], named[name]):
+            raise WeightsMismatch(f"tensors {other!r} and {name!r} share one array "
+                                  "in this model but differ in the file")
     for name, dest in targets:
         dest[:] = named[name]
 
@@ -457,7 +462,7 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
         coeffs = [rng.standard_normal(lvl.dims) for lvl in pyramid.levels]
         tape.backward(list(zip(pyramid.levels, coeffs)))
         checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
-        checks.append((image.data, image.grad.copy()))
+        checks.append((image.data, tape.grads[image]))
         recorded = [(c * lvl.data).sum() for c, lvl in zip(coeffs, pyramid.levels)]
 
         worst = 0.0
@@ -482,7 +487,6 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
                         worst = float(err)
         return worst
     finally:
-        image.grad = None
         for _, _, grad in net.unique_learnables():
             grad[:] = 0.0
         for p, mean, var in snapshot:

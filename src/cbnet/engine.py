@@ -26,35 +26,25 @@ class ConfigError(ValueError):
 
 
 class Tensor4:
-    """A (n, c, h, w) float64 array plus an optional gradient buffer.
+    """A (n, c, h, w) float64 array: a plain value that carries no gradient.
 
     `group` is None except on a stack of probes built by `Tape.replay`,
     where it is the batch size of one probe: training batchnorm then
     normalizes each run of `group` samples on its own.
     """
 
-    __slots__ = ("data", "grad", "group")
+    __slots__ = ("data", "group")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"Tensor4 needs 4 dims, got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
-        self.grad = None
         self.group = None
 
     @property
     def dims(self):
         return self.data.shape
-
-    def ensure_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
-    def accumulate_grad(self, g):
-        self.ensure_grad()
-        self.grad += g
 
     def __repr__(self):
         return f"Tensor4(dims={self.dims})"
@@ -63,8 +53,8 @@ class Tensor4:
 class ConvParams:
     """Weights of a 2-d cross-correlation: weight (c_out, c_in, k, k), bias (c_out,).
 
-    Kernels are square and either 1x1 or 3x3; the gradient buffers are
-    allocated eagerly so shared parameters keep stable storage.
+    Kernels are square and either 1x1 or 3x3; `weight_grad` and `bias_grad`
+    are allocated eagerly so shared parameters keep stable storage.
     """
 
     def __init__(self, weight, bias, stride=1, pad=0):
@@ -78,10 +68,10 @@ class ConvParams:
         if int(stride) < 1 or int(pad) < 0:
             raise ConfigError(f"invalid stride={stride} pad={pad}")
         self.bias = bias
+        self.weight_grad = np.zeros_like(self.weight.data)
         self.bias_grad = np.zeros_like(bias)
         self.stride = int(stride)
         self.pad = int(pad)
-        self.weight.ensure_grad()
 
     @property
     def c_out(self):
@@ -380,7 +370,7 @@ def global_avg_pool_backward(x: Tensor4, grad_out):
 # ---------------------------------------------------------------------------
 # tape layers: stateless wrappers whose forward returns (output, ctx) and
 # whose backward maps the output gradient back to input gradients while
-# accumulating parameter gradients in place.
+# adding parameter gradients into the parameter set's *_grad arrays.
 
 
 class Conv2dLayer:
@@ -394,7 +384,7 @@ class Conv2dLayer:
     def backward(self, ctx, grad_out):
         x, cols = ctx
         grad_in, gw, gb = _conv_backward(x.data, self.params, grad_out, cols)
-        self.params.weight.grad += gw
+        self.params.weight_grad += gw
         self.params.bias_grad += gb
         return (grad_in,)
 
@@ -458,11 +448,12 @@ GAP = GlobalAvgPoolLayer()
 class Tape:
     """Execution record of one forward pass over a static network.
 
-    `run` executes a layer and remembers (layer, inputs, output, ctx);
-    `backward` seeds the requested output gradients and walks the record
-    in reverse, accumulating into each tensor's grad buffer.  Fan-out is
-    handled by in-place accumulation, so the walk order is the exact
-    reverse of the recorded order and results are bit-reproducible.
+    `run` executes a layer and remembers (layer, inputs, output, ctx).
+    `backward(seeds)` walks the record in exact reverse from (tensor,
+    gradient) pairs, so fan-out sums are bit-reproducible.  It adds
+    parameter gradients into the parameter sets' `*_grad` arrays; others
+    live only in the walk, which leaves `grads` mapping each input of the
+    pass (a tensor no step produced) to its gradient.
 
     A forward-only pass clears `recording` right after `Tape()`: `run`
     then executes each layer exactly as before but keeps no step, so every
@@ -473,6 +464,7 @@ class Tape:
     def __init__(self):
         self.steps = []
         self.recording = True
+        self.grads = {}
 
     def run(self, layer, *xs) -> Tensor4:
         y, ctx = layer.forward(*xs)
@@ -537,15 +529,19 @@ class Tape:
         if not self.recording:
             raise RuntimeError("backward on a tape that recorded nothing "
                                "(its recording flag is off)")
+        grads = {}
+
+        def add(t, g):  # never +=: g may be a seed or feed two inputs (AddLayer)
+            grads[t] = grads[t] + g if t in grads else g
+
         for t, g in seeds:
-            t.accumulate_grad(g)
+            add(t, np.broadcast_to(g, t.dims))
         for layer, xs, y, ctx in reversed(self.steps):
-            if y.grad is None:
-                continue
-            grads = layer.backward(ctx, y.grad)
-            for x, gx in zip(xs, grads):
-                if gx is not None:
-                    x.accumulate_grad(gx)
+            if y in grads:
+                for x, gx in zip(xs, layer.backward(ctx, grads.pop(y))):
+                    if gx is not None:
+                        add(x, gx)
+        self.grads = grads
 
 
 def _central_error(analytic, up, down):

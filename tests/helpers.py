@@ -179,10 +179,9 @@ def model_gradcheck_reference(net, image, loss_seed=0):
         pyramid = net.forward(image, tape)
         tape.backward(list(zip(pyramid.levels, coeffs)))
         checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
-        checks.append((image.data, image.grad.copy()))
+        checks.append((image.data, tape.grads[image]))
         return gradcheck(loss_fn, checks)
     finally:
-        image.grad = None
         for _, _, grad in net.unique_learnables():
             grad[:] = 0.0
         for p, mean, var in snapshot:

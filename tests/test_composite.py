@@ -373,7 +373,7 @@ def test_config_sweep_builds_runs_and_round_trips(k, style, share, accelerated):
     tape = Tape()
     pyramid = net.forward(img, tape)
     tape.backward([(lvl, np.ones(lvl.dims)) for lvl in pyramid.levels])
-    assert img.grad is not None and np.isfinite(img.grad).all()
+    assert np.isfinite(tape.grads[img]).all()
     assert all(np.isfinite(g).all() for _, _, g in net.unique_learnables())
 
     saved = {name: value.copy() for name, value in state_dict(net).items()}
@@ -540,3 +540,42 @@ def test_model_gradcheck_restores_modes_when_the_image_is_rejected():
     with pytest.raises(ShapeError):
         model_gradcheck(net, helpers.random_image(TOY_SPEC, 34))
     assert all(p.mode == "inference" for p in net.bn_params())
+
+
+# -- gradients live only in the backward walk ----------------------------------------
+
+
+def test_second_backward_on_one_tape_equals_the_first():
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.DHLC,
+                                  spec=TOY_SPEC), 41)
+    set_mode(net, "training")
+    image = helpers.random_image(TOY_SPEC, 42)
+    tape = Tape()
+    pyramid = net.forward(image, tape)
+    rng = np.random.default_rng(43)
+    seeds = [rng.standard_normal(lvl.dims) for lvl in pyramid.levels]
+    kept = [s.copy() for s in seeds]
+    passes = []
+    for _ in range(2):
+        for _, _, grad in net.unique_learnables():
+            grad[:] = 0.0
+        tape.backward(list(zip(pyramid.levels, seeds)))
+        passes.append([(name, grad.copy()) for name, _, grad in net.unique_learnables()])
+    for (name, first), (_, second) in zip(*passes):
+        assert np.array_equal(first, second), name
+    assert all(np.array_equal(s, k) for s, k in zip(seeds, kept))
+    assert list(tape.grads) == [image]
+
+
+def test_model_gradcheck_after_a_backward_equals_a_check_on_a_fresh_image():
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 3)
+    want = model_gradcheck(net, helpers.random_image(TOY_SPEC, 4), loss_seed=5)
+    image = helpers.random_image(TOY_SPEC, 4)
+    tape = Tape()
+    pyramid = net.forward(image, tape)
+    seeds = [np.ones(lvl.dims) for lvl in pyramid.levels]
+    tape.backward(list(zip(pyramid.levels, seeds)))
+    caller = [t.data.copy() for t in (image, *pyramid.levels)] + [s.copy() for s in seeds]
+    assert model_gradcheck(net, image, loss_seed=5) == want
+    after = [t.data for t in (image, *pyramid.levels)] + seeds
+    assert all(np.array_equal(a, b) for a, b in zip(caller, after))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cbnet import (
     BackboneSpec,
     CBNetConfig,
+    TOY_SPEC,
     WeightFormatError,
     apply_state,
     build_backbone,
@@ -169,6 +170,25 @@ def test_single_backbone_file_loads_into_accelerated_net():
     for bb in net.backbones:
         for name, value in bb.state():
             assert np.array_equal(value, single[name]), name
+
+
+@pytest.mark.parametrize("kw, first_shared", [
+    (dict(num_backbones=2), "stem.conv.weight"),
+    (dict(num_backbones=3), "stem.conv.weight"),
+    (dict(num_backbones=2, accelerated=True), "stage3.down.conv.weight"),
+])
+def test_shared_array_copies_that_differ_are_named_and_nothing_is_copied(kw, first_shared):
+    unshared = state_dict(build_cbnet(CBNetConfig(spec=TOY_SPEC, **kw), 15))
+    net = build_cbnet(CBNetConfig(share_weights=True, spec=TOY_SPEC, **kw), 16)
+    before = _model_bytes(net)
+    want = re.escape(f"'b1.{first_shared}' and 'b2.{first_shared}'")
+    with pytest.raises(WeightsMismatch, match=want):
+        apply_state(net, unshared)
+    assert _model_bytes(net) == before
+    shared = state_dict(build_cbnet(CBNetConfig(share_weights=True, spec=TOY_SPEC, **kw), 17))
+    apply_state(net, shared)
+    for name, value in net.state():
+        assert np.array_equal(value, shared[name]), name
 
 
 # -- the head rules of a full file ---------------------------------------------------
