@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,7 +34,7 @@ class BackboneSpec:
     stem_channels: int = 8
     stage_channels: tuple = (8, 16, 32, 64, 128)
     image_size: tuple = (64, 64)
-    in_channels: int = 3
+    in_channels: ClassVar[int] = 3  # images are RGB
 
     def __post_init__(self):
         object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
@@ -46,8 +47,6 @@ class BackboneSpec:
                 f"{self.num_stages} stages")
         if any(c < 1 for c in self.stage_channels) or self.stem_channels < 1:
             raise ConfigError("channel counts must be positive")
-        if self.in_channels < 1:
-            raise ConfigError("in_channels must be positive")
         h, w = self.image_size
         div = 2 ** self.num_stages
         if h % div or w % div:

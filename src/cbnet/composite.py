@@ -283,29 +283,22 @@ def set_mode(net: CBNet, mode: str):
 def force_zero_composites(net: CBNet):
     """Make every composite contribution exactly zero (test/diagnostic mode).
 
-    Learned connections get zero conv weights, zero beta and fresh (0, 1)
-    inference stats.  slc has no learned connections, so its assistant
-    backbones are zeroed instead, which drives their stage outputs to 0.
+    The modules zeroed are the learned connections, plus under slc (which
+    has none) the assistant backbones, whose stage outputs then become 0.
+    In each, every tensor but gamma becomes 0 and running_var 1, and every
+    batchnorm goes to inference mode.
     """
-    for conn in net.connections.values():
-        conn.conv.params.weight.data[:] = 0.0
-        conn.conv.params.bias[:] = 0.0
-        bn = conn.bn.params
-        bn.beta[:] = 0.0
-        bn.running_mean[:] = 0.0
-        bn.running_var[:] = 1.0
-        bn.mode = "inference"
+    modules = list(net.connections.values())
     if net.config.style is CompositeStyle.SLC and net.config.num_backbones > 1:
         if net.config.share_weights:
             raise ConfigError("cannot zero slc assistants under weight sharing")
-        for bb in net.backbones[:-1]:
-            for name, value, _ in bb.learnables():
-                if name.endswith((".weight", ".bias", ".beta")):
-                    value[:] = 0.0
-            for p in bb.bn_params():
-                p.running_mean[:] = 0.0
-                p.running_var[:] = 1.0
-                p.mode = "inference"
+        modules += net.backbones[:-1]
+    for module in modules:
+        for name, value in module.state():
+            if not name.endswith(".gamma"):
+                value[:] = 1.0 if name.endswith(".running_var") else 0.0
+        for p in module.bn_params():
+            p.mode = "inference"
 
 
 # -- accounting ----------------------------------------------------------------
@@ -440,8 +433,9 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     The scalar under test is a fixed random projection of all pyramid
     levels; every unique learned parameter and the input image are
     perturbed.  Batchnorm runs in training mode (the path the trainer
-    uses); running stats are snapshotted and restored since probe passes
-    fold batch statistics into them.
+    uses).  The recorded forward folds its batch statistics into the
+    running stats, so they are snapshotted and restored; probe stacks never
+    touch them.
 
     Probes (+step, then -step, per element) replay the recorded tape
     as one stack of up to _PROBE_CHUNK elements (`Tape.replay`).  Ops that

@@ -168,13 +168,11 @@ def _conv_forward(x, p):
     return y.reshape(n, p.c_out, oh, ow), cols
 
 
-def _conv_backward(x, p, grad_out, cols=None):
-    _conv_check(x, p)
+def _conv_backward(x, p, grad_out, cols):
+    """Gradients w.r.t. (input, weight, bias); cols are x's columns."""
     n, c, h, w = x.shape
     k, s, pad = p.kernel, p.stride, p.pad
     oh, ow = grad_out.shape[2], grad_out.shape[3]
-    if cols is None:
-        cols, _, _ = _im2col(x, k, s, pad)
     g2 = np.ascontiguousarray(grad_out.reshape(n, p.c_out, oh * ow))
     grad_bias = g2.sum(axis=(0, 2))
     grad_weight = np.einsum("nof,nkf->ok", g2, cols, optimize=True).reshape(p.weight.dims)
@@ -196,7 +194,9 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
 
 def conv2d_backward(x: Tensor4, p: ConvParams, grad_out):
     """Gradients of conv2d w.r.t. (input, weight, bias) given the output gradient."""
-    return _conv_backward(x.data, p, np.asarray(grad_out, dtype=np.float64))
+    _conv_check(x.data, p)
+    cols, _, _ = _im2col(x.data, p.kernel, p.stride, p.pad)
+    return _conv_backward(x.data, p, np.asarray(grad_out, dtype=np.float64), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -209,61 +209,49 @@ def _bn_check(x, p):
             f"batchnorm: input shape {x.shape} does not match {p.channels} channels")
 
 
-def _bn_stats(x, p, group=None):
-    """(mean, variance, x - mean) that normalize x: the biased batch
-    statistics in training mode, the running estimates in inference mode.
+def _bn_normalize(x, p, group=None):
+    """(mean, variance, 1/std, normalized x) of x taken as runs of `group`
+    consecutive samples, all of x being one run when None.
 
-    Training statistics are taken over each run of `group` consecutive
-    samples, all of x when None; they have shape (c,) then and one row per
-    group, (groups, c), otherwise.  They are sum / m and the mean of the
-    squared centred input, which is what np.mean and np.var compute, bit
-    for bit, while centring x only once.
+    Each statistic has one row per run, shape (runs, c): the run's biased
+    batch statistics in training mode, the running estimates in every row
+    in inference mode.  The batch statistics are sum / m and the mean of
+    the squared centred input, which is what np.mean and np.var compute,
+    bit for bit, while centring x only once.  Nothing is mutated.
     """
+    _bn_check(x, p)
+    n, c, h, w = x.shape
+    xg = x.reshape(-1 if group else 1, group or n, c, h, w)
     if p.mode == "training":
-        n, c, h, w = x.shape
-        xg = x.reshape(-1, group or n, c, h, w)
         m = xg.shape[1] * h * w
         mu = xg.sum(axis=(1, 3, 4)) / m
         xc = xg - mu[:, None, :, None, None]
         var = (xc * xc).sum(axis=(1, 3, 4)) / m
-        if group is None:
-            mu, var = mu[0], var[0]
-        return mu, var, xc.reshape(x.shape)
-    return p.running_mean, p.running_var, x - p.running_mean[None, :, None, None]
-
-
-def _per_sample(v, n):
-    """Per-channel statistics shaped to broadcast against n samples:
-    (c,) for all of them, or (groups, c) with one row per group."""
-    if v.ndim == 1:
-        return v[None, :, None, None]
-    return np.repeat(v, n // len(v), axis=0)[:, :, None, None]
+    else:
+        mu = np.broadcast_to(p.running_mean, (len(xg), c))
+        var = np.broadcast_to(p.running_var, (len(xg), c))
+        xc = xg - mu[:, None, :, None, None]
+    istd = 1.0 / np.sqrt(var + p.epsilon)
+    return mu, var, istd, (xc * istd[:, None, :, None, None]).reshape(x.shape)
 
 
 def _bn_forward(x, p, group=None):
     """Batchnorm of x; a probe stack (`group` set) is normalized group by
     group and never folds into the running statistics."""
-    _bn_check(x, p)
-    mu, var, xc = _bn_stats(x, p, group)
+    mu, var, istd, xhat = _bn_normalize(x, p, group)
     if p.mode == "training" and group is None:
         p.running_mean *= BN_MOMENTUM
-        p.running_mean += (1.0 - BN_MOMENTUM) * mu
+        p.running_mean += (1.0 - BN_MOMENTUM) * mu[0]
         p.running_var *= BN_MOMENTUM
-        p.running_var += (1.0 - BN_MOMENTUM) * var
-    istd = 1.0 / np.sqrt(var + p.epsilon)
-    xhat = xc * _per_sample(istd, len(x))
+        p.running_var += (1.0 - BN_MOMENTUM) * var[0]
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
     return y, (mu, istd, xhat)
 
 
-def _bn_backward(x, p, grad_out, cache=None):
-    _bn_check(x, p)
-    if cache is None:
-        mu, var, xc = _bn_stats(x, p)
-        istd = 1.0 / np.sqrt(var + p.epsilon)
-        xhat = xc * istd[None, :, None, None]
-    else:
-        mu, istd, xhat = cache
+def _bn_backward(x, p, grad_out, cache):
+    """Gradients w.r.t. (input, gamma, beta) of one unstacked batch (a
+    single run), from the (mu, istd, xhat) that `_bn_normalize` gave it."""
+    (mu,), (istd,), xhat = cache
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
     gxhat = grad_out * p.gamma[None, :, None, None]
@@ -290,7 +278,8 @@ def batchnorm(x: Tensor4, p: BatchNormParams) -> Tensor4:
 
 def batchnorm_backward(x: Tensor4, p: BatchNormParams, grad_out):
     """Gradients of batchnorm w.r.t. (input, gamma, beta)."""
-    return _bn_backward(x.data, p, np.asarray(grad_out, dtype=np.float64))
+    mu, _, istd, xhat = _bn_normalize(x.data, p)
+    return _bn_backward(x.data, p, np.asarray(grad_out, dtype=np.float64), (mu, istd, xhat))
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +551,20 @@ def gradcheck(loss_fn, checks):
     array perturbed element by element, _FD_STEP either way.  The error is
     `_central_error`'s.
     Zero checks give 0.0 by convention; a non-finite probe loss yields inf
-    instead of raising.
+    instead of raising.  If loss_fn raises, the probed element is restored.
     """
     worst = 0.0
     for arr, analytic in checks:
         flat = np.asarray(analytic, dtype=np.float64).reshape(-1)
         for i in range(arr.size):
             orig = arr.flat[i]
-            arr.flat[i] = orig + _FD_STEP
-            up = loss_fn()
-            arr.flat[i] = orig - _FD_STEP
-            down = loss_fn()
-            arr.flat[i] = orig
+            try:
+                arr.flat[i] = orig + _FD_STEP
+                up = loss_fn()
+                arr.flat[i] = orig - _FD_STEP
+                down = loss_fn()
+            finally:
+                arr.flat[i] = orig
             rel = _central_error(flat[i], up, down)
             if rel == float("inf"):
                 return rel

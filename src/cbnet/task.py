@@ -176,7 +176,8 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     """Plain SGD, batch size TRAIN_BATCH, epoch-wise reshuffling from seed.
 
     Batchnorm runs in training mode during the steps and is switched back
-    to inference for the final metrics.  Aborts on a non-finite loss.
+    to inference for the final metrics.  Aborts on a non-finite loss;
+    rejects up front a run whose one-sample batch meets a 1x1 last stage.
     """
     if not dataset:
         raise ConfigError("cannot train on an empty dataset")
@@ -184,6 +185,12 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     if not 0 <= lr < np.inf:
         raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
+    spec = net.config.spec  # an epoch ends on len(dataset) % TRAIN_BATCH samples
+    if (spec.stage_hw(spec.num_stages) == (1, 1) and len(dataset) % TRAIN_BATCH == 1
+            and steps > len(dataset) // TRAIN_BATCH):
+        raise ConfigError(f"{steps} steps over {len(dataset)} samples in batches of {TRAIN_BATCH} "
+                          f"draw a batch of 1 sample; its stage-{spec.num_stages} map is 1x1, "
+                          "so batchnorm there would normalize one value per channel")
     params = list(WithHead(net, head).unique_learnables())
     grad_seen = {name: False for name, _, _ in params}
 

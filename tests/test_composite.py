@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from cbnet import (
@@ -382,6 +384,51 @@ def test_config_sweep_builds_runs_and_round_trips(k, style, share, accelerated):
     loaded = state_dict(other)
     assert list(loaded) == list(saved)
     assert all(np.array_equal(loaded[name], saved[name]) for name in saved)
+
+
+@st.composite
+def spec_configs(draw):
+    """(cfg, batch): K, style and sharing over a small spec of 2-4 stages
+    with 1-4 channels each and side 2^L or 2^(L+1); accelerated only where
+    it is defined (K=2, at least 3 stages)."""
+    L = draw(st.integers(2, 4))
+    side = 2 ** (L + draw(st.integers(0, 1)))
+    channels = st.integers(1, 4)
+    spec = BackboneSpec(num_stages=L, stem_channels=draw(channels),
+                        stage_channels=tuple(draw(channels) for _ in range(L)),
+                        image_size=(side, side))
+    k = draw(st.integers(1, 3))
+    cfg = CBNetConfig(num_backbones=k, style=draw(st.sampled_from(list(CompositeStyle))),
+                      share_weights=draw(st.booleans()),
+                      accelerated=k == 2 and L >= 3 and draw(st.booleans()), spec=spec)
+    return cfg, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec_configs(), st.integers(0, 2 ** 32 - 1))
+def test_inference_forward_and_param_count_match_oracles_over_specs(case, seed):
+    # the sweep above fixes the spec; this varies it with the config
+    cfg, batch = case
+    spec = cfg.spec
+    net = build_cbnet(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for name, value in net.state():
+        value[:] = (rng.uniform(0.5, 2.0, value.shape) if name.endswith("running_var")
+                    else rng.standard_normal(value.shape))
+    image = Tensor4(rng.uniform(0.0, 1.0, (batch, spec.in_channels) + spec.image_size))
+    pyramid = net.forward(image, Tape())
+    want = helpers.pyramid_oracle(net, image)
+    assert len(pyramid.levels) == len(want) == spec.num_stages - 1
+    assert all(np.array_equal(lvl.data, w) for lvl, w in zip(pyramid.levels, want))
+
+    full = helpers.backbone_params_oracle(spec)
+    if cfg.share_weights:
+        backbones = full
+    elif cfg.accelerated:
+        backbones = full + helpers.backbone_params_oracle(spec, first_stage=3)
+    else:
+        backbones = cfg.num_backbones * full
+    assert param_count(net) == backbones + helpers.connection_params_oracle(cfg)
 
 
 # sha256 of the CBNW file of state_dict(build_cbnet(cfg, 7)) at TOY_SPEC; the

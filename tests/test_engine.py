@@ -331,6 +331,22 @@ def test_gradcheck_reports_non_finite_loss_as_failure():
     assert gradcheck(loss_fn, [(arr, np.zeros(1))]) == float("inf")
 
 
+def test_gradcheck_restores_the_probed_element_when_loss_fn_raises():
+    arr = np.arange(4.0)
+    calls = []
+
+    def loss_fn():
+        calls.append(arr.copy())
+        if len(calls) == 3:  # the +step probe of element 1
+            raise RuntimeError("loss failed")
+        return float(arr.sum())
+
+    with pytest.raises(RuntimeError, match="loss failed"):
+        gradcheck(loss_fn, [(arr, np.ones(4))])
+    assert calls[2][1] != 1.0
+    assert np.array_equal(arr, np.arange(4.0))
+
+
 def test_tensor4_requires_four_dims():
     with pytest.raises(ShapeError):
         Tensor4(np.zeros((2, 3)))

@@ -240,6 +240,41 @@ def test_train_rejects_empty_dataset_before_touching_modes():
     assert all(p.mode == "training" for p in net.bn_params())
 
 
+ONE_BY_ONE = BackboneSpec(num_stages=5, stem_channels=2, stage_channels=(2, 2, 2, 2, 2),
+                         image_size=(32, 32))  # stage 5 is 1x1
+
+
+def _one_by_one_setup(spec=ONE_BY_ONE, n=5):
+    net = build_cbnet(CBNetConfig(num_backbones=1, spec=spec), 3)
+    return net, build_head(spec, 4), gen_dataset(2, n, spec.image_size[0])
+
+
+def test_train_rejects_a_one_sample_batch_on_a_1x1_stage_before_touching_modes():
+    # 5 samples in batches of 4: the second step draws the fifth sample alone
+    net, head, data = _one_by_one_setup()
+    before = [v.copy() for _, v in net.state()]
+    for p in net.bn_params():
+        p.mode = "training"
+    with pytest.raises(ConfigError, match=r"batch of 1 sample; its stage-5 map is 1x1"):
+        train(net, head, data, steps=2, lr=0.05, seed=0)
+    assert all(p.mode == "training" for p in net.bn_params())
+    assert all(np.array_equal(a, v) for a, (_, v) in zip(before, net.state()))
+    with pytest.raises(ConfigError, match="batches of 4"):
+        train(net, head, data[:1], steps=1, lr=0.05, seed=0)
+
+
+@pytest.mark.parametrize("spec, n, steps", [
+    (ONE_BY_ONE, 5, 1),   # the one-sample batch is never drawn
+    (ONE_BY_ONE, 6, 3),   # epochs end on two samples
+    (BackboneSpec(num_stages=5, stem_channels=2, stage_channels=(2, 2, 2, 2, 2),
+                  image_size=(64, 64)), 5, 2),  # stage 5 is 2x2
+])
+def test_train_accepts_runs_that_never_normalize_one_value(spec, n, steps):
+    net, head, data = _one_by_one_setup(spec, n)
+    log = train(net, head, data, steps=steps, lr=0.05, seed=0)
+    assert len(log.losses) == steps and all(np.isfinite(log.losses))
+
+
 # values recorded from the reference run of this exact budget; the loose
 # tolerance absorbs BLAS-order differences across machines while still
 # catching any change to seeding, batching or gradient math
