@@ -3,9 +3,10 @@
 Subcommands: summarize, train, eval, gradcheck, flops, viz.  Every command
 is deterministic given its flags: rerunning writes byte-identical files.
 Exits 0 on success; 2 on argument errors, which include a single flag out
-of its range (--k or --n below 1, --steps below 0, --lr or --tolerance
-negative or not finite); 1 on runtime failures, which include a flag
-combination the model rejects and a gradcheck error above tolerance.
+of its range (--k or --n below 1, --steps or --seed below 0, --lr or
+--tolerance negative or not finite); 1 on runtime failures, which include
+a flag combination the model rejects and a gradcheck error above
+tolerance.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _model_flags(p):
     p.add_argument("--style", choices=[s.value for s in CompositeStyle], default="ahlc")
     p.add_argument("--share-weights", action="store_true")
     p.add_argument("--accelerated", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
 
 
 def _config(args, spec=None):
@@ -91,7 +92,7 @@ def cmd_summarize(args):
     print(f"config: k={cfg.num_backbones} style={cfg.style.value} "
           f"share_weights={cfg.share_weights} accelerated={cfg.accelerated}")
     for k, bb in enumerate(net.backbones, 1):
-        count = sum(v.size for _, v, _ in bb.learnables())
+        count = param_count(bb)
         stages = f"stages {bb.first_stage}..{cfg.spec.num_stages}"
         print(f"backbone b{k}: {stages}, params {count}")
     keys = connection_keys(cfg)
@@ -99,7 +100,7 @@ def cmd_summarize(args):
     comp_total = 0
     for key in keys:
         conn = net.connections[key]
-        count = sum(v.size for _, v, _ in conn.learnables())
+        count = param_count(conn)
         comp_total += count
         th, tw = conn.target_hw
         print(f"  g.{'.'.join(str(p) for p in key)}: "

@@ -13,8 +13,9 @@ composite style:
 
 That rule lives in one place, the link table: one (k, l, i) triple per
 term, in forward order, meaning "stage l of backbone k adds the previous
-backbone's stage-i output".  `CBNet` builds it from its config, and the
-forward pass, the build, the key lists and the FLOP count all read it.
+backbone's stage-i output".  `CBNet` builds it from its config; the
+forward pass, the build and the key lists read it, and the FLOP count is
+summed over the ops that forward runs.
 
 Only the last backbone's stage outputs (stages 2..L) are exposed as the
 feature pyramid.  Weight sharing points every backbone at one parameter
@@ -312,51 +313,37 @@ def param_count(model) -> int:
     return sum(value.size for _, value, _ in model.unique_learnables())
 
 
-def _conv_flops(n, c_in, k, c_out, oh, ow):
-    return 2 * c_in * k * k * c_out * oh * ow * n
-
-
-def _stage_flops(spec, l, n):
-    c_in = spec.stage_in_channels(l)
-    c = spec.stage_out_channels(l)
-    oh, ow = spec.stage_hw(l)
-    elems = n * c * oh * ow
-    total = _conv_flops(n, c_in, 3, c, oh, ow) + 2 * elems          # down + bn + relu
-    total += 2 * (_conv_flops(n, c, 3, c, oh, ow) + elems)          # conv1/bn1, conv2/bn2
-    total += 3 * elems                                              # relu, residual add, relu
-    return total
-
-
-def _stem_flops(spec, n):
-    h, w = spec.image_size
-    elems = n * spec.stem_channels * h * w
-    return _conv_flops(n, spec.in_channels, 3, spec.stem_channels, h, w) + 2 * elems
-
-
 def flop_count(net: CBNet, input_dims) -> int:
     """Multiply-add accounting of one forward pass at the given input dims.
 
-    conv counts 2*c_in*k^2*c_out per output element; batchnorm, relu and
-    add count one per element; upsample counts its output elements.
+    The count is summed over the ops that `net.forward` runs on one zero
+    sample of dims (1, *input_dims[1:]): a conv counts 2*c_in*k^2 per
+    output element, and every other op (batchnorm, relu, add, upsample)
+    one per output element.  Every op scales with the batch, so the total
+    is that sum times n = input_dims[0].  Dims the spec does not accept
+    raise ShapeError.  Batchnorm runs in inference mode, and every mode is
+    restored afterwards, so no running statistic moves.
     """
     n = int(input_dims[0])
-    spec = net.config.spec
+    image = Tensor4(np.zeros((1, *input_dims[1:])))
+    old_modes = [(p, p.mode) for p in net.bn_params()]
+    set_mode(net, "inference")
+    try:
+        # the class's forward on an engine.Tape: a tracer may replace this
+        # module's `Tape` and the instance's `forward`, and must not see this pass
+        tape = engine.Tape()
+        type(net).forward(net, image, tape)
+    finally:
+        for p, mode in old_modes:
+            p.mode = mode
     total = 0
-    for bb in net.backbones:
-        if bb.stem is not None:
-            total += _stem_flops(spec, n)
-        for l in bb.stage_numbers():
-            total += _stage_flops(spec, l, n)
-    direct = net.config.style is CompositeStyle.SLC
-    for _k, l, i in net.links:
-        c_dst, (th, tw) = spec.stage_out_channels(l - 1), spec.stage_hw(l - 1)
-        if not direct:
-            c_src, (sh, sw) = spec.stage_out_channels(i), spec.stage_hw(i)
-            total += _conv_flops(n, c_src, 1, c_dst, sh, sw)  # 1x1 conv at source res
-            total += n * c_dst * sh * sw                      # bn
-            total += n * c_dst * th * tw                      # upsample output
-        total += n * c_dst * th * tw                          # add into the stage input
-    return total
+    for layer, _, y, _ in tape.steps:
+        size = y.data.size
+        if isinstance(layer, Conv2dLayer):
+            p = layer.params
+            size *= 2 * p.c_in * p.kernel * p.kernel
+        total += size
+    return n * total
 
 
 # -- weight application ---------------------------------------------------------

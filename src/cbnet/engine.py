@@ -112,7 +112,6 @@ class BatchNormParams:
         self.beta = beta
         self.running_mean = running_mean
         self.running_var = running_var
-        self.epsilon = BN_EPS
         self.mode = mode
         self.gamma_grad = np.zeros_like(gamma)
         self.beta_grad = np.zeros_like(beta)
@@ -231,7 +230,7 @@ def _bn_normalize(x, p, group=None):
         mu = np.broadcast_to(p.running_mean, (len(xg), c))
         var = np.broadcast_to(p.running_var, (len(xg), c))
         xc = xg - mu[:, None, :, None, None]
-    istd = 1.0 / np.sqrt(var + p.epsilon)
+    istd = 1.0 / np.sqrt(var + BN_EPS)
     return mu, var, istd, (xc * istd[:, None, :, None, None]).reshape(x.shape)
 
 

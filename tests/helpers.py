@@ -75,6 +75,42 @@ def connection_params_oracle(cfg):
     return receivers * total
 
 
+# -- FLOP counting -------------------------------------------------------------
+
+
+def flops_oracle(cfg, n):
+    """FLOPs of one forward at batch n, in closed form from the spec and the
+    composition rules: a conv counts 2*c_in*k^2 per output element, every
+    other op (batchnorm, relu, add, upsample) one per output element."""
+    spec = cfg.spec
+    L = spec.num_stages
+    h, w = spec.image_size
+
+    def hw(l):
+        return (h // 2 ** l) * (w // 2 ** l)
+
+    def channels(l):
+        return spec.stem_channels if l == 0 else spec.stage_channels[l - 1]
+
+    def stage(l):
+        c_in, c = channels(l - 1), channels(l)
+        return 2 * 9 * c_in * c * hw(l) + 2 * (2 * 9 * c * c * hw(l)) + 7 * c * hw(l)
+
+    stem = 2 * 9 * spec.in_channels * spec.stem_channels * h * w + 2 * spec.stem_channels * h * w
+    full = stem + sum(stage(l) for l in range(1, L + 1))
+    if cfg.accelerated:
+        total = full + sum(stage(l) for l in range(3, L + 1))
+    else:
+        total = cfg.num_backbones * full
+    for l, i in connection_pairs_oracle(cfg):
+        c_dst, c_src = channels(l - 1), channels(i)
+        link = c_dst * hw(l - 1)  # the add into stage l's input
+        if cfg.style is not CompositeStyle.SLC:
+            link += 2 * c_src * c_dst * hw(i) + c_dst * hw(i) + c_dst * hw(l - 1)
+        total += (cfg.num_backbones - 1) * link
+    return n * total
+
+
 # -- straight-line network evaluation -----------------------------------------
 
 

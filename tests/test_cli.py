@@ -55,10 +55,12 @@ def test_unknown_flag_exits_2():
     ("train", "--lr", "-0.5"),
     ("gradcheck", "--toy", "--tolerance", "nan"),
     ("gradcheck", "--toy", "--tolerance", "-0.001"),
+    *((command, "--seed", "-1")
+      for command in ("summarize", "train", "eval", "gradcheck", "flops", "viz")),
 ], ids=" ".join)
 def test_flag_out_of_range_exits_2_with_usage(tmp_path, args):
     out = tmp_path / "run"
-    extra = ("--out", str(out)) if args[0] == "train" else ()
+    extra = ("--out", str(out)) if args[0] in ("train", "viz") else ()
     result = run_cli(*args, *extra)
     assert result.returncode == 2
     assert "usage" in result.stderr.lower()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 
 import numpy as np
@@ -285,6 +286,48 @@ def test_flop_ordering_single_accelerated_full():
                                                spec=spec), 19), dims)
     full = flop_count(build_cbnet(CBNetConfig(num_backbones=2, spec=spec), 19), dims)
     assert single < accel < full
+
+
+FLOP_SPECS = {
+    "toy": TOY_SPEC,
+    "default": BackboneSpec(),
+    "4-stage-32x48": BackboneSpec(num_stages=4, stem_channels=4, stage_channels=(5, 6, 7, 9),
+                                  image_size=(32, 48)),
+}
+
+
+@pytest.mark.parametrize("spec_name", list(FLOP_SPECS))
+def test_flop_count_equals_oracle_and_leaves_batchnorm_untouched(spec_name):
+    spec = FLOP_SPECS[spec_name]
+    rng = np.random.default_rng(20)
+    for k, style, share, accelerated in itertools.product(
+            (1, 2, 3), CompositeStyle, (False, True), (False, True)):
+        if accelerated and k != 2:
+            continue
+        cfg = CBNetConfig(num_backbones=k, style=style, share_weights=share,
+                          accelerated=accelerated, spec=spec)
+        net = build_cbnet(cfg, 21)
+        for p in net.bn_params():
+            p.running_mean[:] = rng.standard_normal(p.channels)
+            p.running_var[:] = rng.uniform(0.5, 2.0, p.channels)
+        for mode in ("training", "inference"):
+            set_mode(net, mode)
+            before = [(p, p.mode, p.running_mean.copy(), p.running_var.copy())
+                      for p in net.bn_params()]
+            for n in (1, 3):
+                dims = (n, spec.in_channels) + spec.image_size
+                assert flop_count(net, dims) == helpers.flops_oracle(cfg, n), (cfg, n, mode)
+            for p, old_mode, mean, var in before:
+                assert p.mode == old_mode
+                assert np.array_equal(p.running_mean, mean) and np.array_equal(p.running_var, var)
+
+
+def test_flop_count_rejects_dims_the_spec_does_not_accept():
+    net = build_cbnet(CBNetConfig(), 0)
+    with pytest.raises(ShapeError):
+        flop_count(net, (1, 3, 32, 32))
+    with pytest.raises(ShapeError):
+        flop_count(net, (1, 1) + net.config.spec.image_size)
 
 
 # -- accelerated variant -----------------------------------------------------------

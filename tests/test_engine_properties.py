@@ -23,7 +23,7 @@ from cbnet import (
     upsample_nearest,
     upsample_nearest_backward,
 )
-from cbnet.engine import BN_MOMENTUM, _bn_forward, _im2col
+from cbnet.engine import BN_EPS, BN_MOMENTUM, _bn_forward, _im2col
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -119,7 +119,7 @@ def test_training_batchnorm_equals_mean_var_reference(n, c, h, w, seed):
     y = batchnorm(Tensor4(x), p).data
 
     mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-    istd = 1.0 / np.sqrt(var + p.epsilon)
+    istd = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mu[None, :, None, None]) * istd[None, :, None, None]
     want = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
     assert np.array_equal(y, want)
@@ -186,7 +186,7 @@ def bn_backward_oracle(x, p, g):
             mu, var = xs.mean(), xs.var()
         else:
             mu, var = p.running_mean[ch], p.running_var[ch]
-        istd = 1.0 / np.sqrt(var + p.epsilon)
+        istd = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (xs - mu) * istd
         gxhat = gs * p.gamma[ch]
         if p.mode == "training":
