@@ -25,13 +25,12 @@ from .composite import (
     apply_state,
     build_cbnet,
     cbnet_forward,
-    connection_keys,
     direct_add_keys,
     flop_count,
     model_gradcheck,
     param_count,
 )
-from .engine import ConfigError, ShapeError, Tensor4
+from .engine import ConfigError, Tensor4
 from .task import (
     DATA_SEED,
     HEAD_SEED,
@@ -44,7 +43,7 @@ from .task import (
     train,
 )
 from .viz import heatmap_channel_mean
-from .weights import WeightFormatError, load_weights, save_weights
+from .weights import load_weights, save_weights
 
 
 def _at_least(convert, low):
@@ -95,11 +94,9 @@ def cmd_summarize(args):
         count = param_count(bb)
         stages = f"stages {bb.first_stage}..{cfg.spec.num_stages}"
         print(f"backbone b{k}: {stages}, params {count}")
-    keys = connection_keys(cfg)
-    print(f"composite connections: {len(keys)}")
+    print(f"composite connections: {len(net.connections)}")
     comp_total = 0
-    for key in keys:
-        conn = net.connections[key]
+    for key, conn in net.connections.items():
         count = param_count(conn)
         comp_total += count
         th, tw = conn.target_hw
@@ -233,8 +230,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, WeightFormatError, OSError, ValueError,
-            RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

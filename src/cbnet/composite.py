@@ -246,18 +246,14 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
         backbones = [build_backbone(spec, s) for s in bseeds]
 
     connections = {}
-    for link in _links(cfg):
-        k, l, i = link
-        c_src = backbones[k - 2].stage(i).conv2.params.c_out
-        c_dst = backbones[k - 1].stage(l - 1).conv2.params.c_out
-        if cfg.style is CompositeStyle.SLC:
-            # direct addition: the source must match the receiving stage input
-            if c_src != c_dst:
-                raise ShapeError(f"slc add at (k={k}, l={l}): {c_src} vs {c_dst} channels")
-            continue
-        conv = _init_conv(rng, c_src, c_dst, 1, stride=1, pad=0)
-        connections[_connection_key(cfg, link)] = CompositeConnection(
-            conv, _init_bn(c_dst), spec.stage_hw(l - 1))
+    if cfg.style is not CompositeStyle.SLC:  # slc adds its sources directly
+        for link in _links(cfg):
+            k, l, i = link
+            c_src = backbones[k - 2].stage(i).conv2.params.c_out
+            c_dst = backbones[k - 1].stage(l - 1).conv2.params.c_out
+            conv = _init_conv(rng, c_src, c_dst, 1, stride=1, pad=0)
+            connections[_connection_key(cfg, link)] = CompositeConnection(
+                conv, _init_bn(c_dst), spec.stage_hw(l - 1))
     return CBNet(cfg, backbones, connections)
 
 
@@ -273,12 +269,24 @@ def cbnet_forward(net: CBNet, image: Tensor4) -> FeaturePyramid:
     return net.forward(image, tape)
 
 
-def set_mode(net: CBNet, mode: str):
-    """Flip every batchnorm in the model between training and inference."""
-    if mode not in ("training", "inference"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    for p in net.bn_params():
-        p.mode = mode
+class set_mode:
+    """Flip every batchnorm in a model between training and inference at
+    the call.  `with set_mode(net, mode):` also gives each batchnorm its
+    previous mode back when the block ends or raises."""
+
+    def __init__(self, net: Module, mode: str):
+        if mode not in ("training", "inference"):
+            raise ConfigError(f"unknown mode {mode!r}")
+        self._old = [(p, p.mode) for p in net.bn_params()]
+        for p, _ in self._old:
+            p.mode = mode
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for p, mode in self._old:
+            p.mode = mode
 
 
 def force_zero_composites(net: CBNet):
@@ -298,8 +306,7 @@ def force_zero_composites(net: CBNet):
         for name, value in module.state():
             if not name.endswith(".gamma"):
                 value[:] = 1.0 if name.endswith(".running_var") else 0.0
-        for p in module.bn_params():
-            p.mode = "inference"
+        set_mode(module, "inference")
 
 
 # -- accounting ----------------------------------------------------------------
@@ -320,22 +327,19 @@ def flop_count(net: CBNet, input_dims) -> int:
     sample of dims (1, *input_dims[1:]): a conv counts 2*c_in*k^2 per
     output element, and every other op (batchnorm, relu, add, upsample)
     one per output element.  Every op scales with the batch, so the total
-    is that sum times n = input_dims[0].  Dims the spec does not accept
-    raise ShapeError.  Batchnorm runs in inference mode, and every mode is
-    restored afterwards, so no running statistic moves.
+    is that sum times n = input_dims[0].  A batch size below 1, or dims the
+    spec does not accept, raise ShapeError.  Batchnorm runs in inference
+    mode, scoped by `set_mode`, so no running statistic moves.
     """
     n = int(input_dims[0])
+    if n < 1:
+        raise ShapeError(f"input dims {tuple(input_dims)} need a batch size of at least 1")
     image = Tensor4(np.zeros((1, *input_dims[1:])))
-    old_modes = [(p, p.mode) for p in net.bn_params()]
-    set_mode(net, "inference")
-    try:
+    with set_mode(net, "inference"):
         # the class's forward on an engine.Tape: a tracer may replace this
         # module's `Tape` and the instance's `forward`, and must not see this pass
         tape = engine.Tape()
         type(net).forward(net, image, tape)
-    finally:
-        for p, mode in old_modes:
-            p.mode = mode
     total = 0
     for layer, _, y, _ in tape.steps:
         size = y.data.size
@@ -363,8 +367,9 @@ def apply_state(net: CBNet, named, head=None):
     cover the net, and the head too when `head` is given and the file has
     "head.*" entries.  Without `head` those entries are ignored; any other
     name the model lacks is rejected, and so are differing copies of one
-    shared array.  All of this is checked before anything is copied, so a
-    mismatched file leaves the model untouched.
+    shared array and a negative batchnorm `running_var`.  All of this is
+    checked before anything is copied, so a rejected file leaves the model
+    untouched.
     """
     if any(name.startswith("stem.") for name in named):
         targets = [pair for bb in net.backbones for pair in bb.state()]
@@ -383,6 +388,8 @@ def apply_state(net: CBNet, named, head=None):
         if dest.shape != named[name].shape:
             raise WeightsMismatch(
                 f"tensor {name!r}: file shape {named[name].shape} != model shape {dest.shape}")
+        if name.endswith(".running_var") and np.any(named[name] < 0.0):
+            raise ConfigError(f"tensor {name!r}: batchnorm running_var has negative entries")
         other = first.setdefault(id(dest), name)
         if other != name and not np.array_equal(named[other], named[name]):
             raise WeightsMismatch(f"tensors {other!r} and {name!r} share one array "
@@ -420,9 +427,9 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     The scalar under test is a fixed random projection of all pyramid
     levels; every unique learned parameter and the input image are
     perturbed.  Batchnorm runs in training mode (the path the trainer
-    uses).  The recorded forward folds its batch statistics into the
-    running stats, so they are snapshotted and restored; probe stacks never
-    touch them.
+    uses), scoped by `set_mode`.  The recorded forward folds its batch
+    statistics into the running stats, so they are snapshotted and
+    restored; probe stacks never touch them.
 
     Probes (+step, then -step, per element) replay the recorded tape
     as one stack of up to _PROBE_CHUNK elements (`Tape.replay`).  Ops that
@@ -432,46 +439,43 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     The check stops after the first chunk with a non-finite probe loss.
     """
     snapshot = [(p, p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
-    old_modes = [(p, p.mode) for p in net.bn_params()]
-    set_mode(net, "training")
     rng = np.random.default_rng(loss_seed)
-    try:
-        for _, _, grad in net.unique_learnables():
-            grad[:] = 0.0
-        tape = Tape()
-        pyramid = net.forward(image, tape)
-        coeffs = [rng.standard_normal(lvl.dims) for lvl in pyramid.levels]
-        tape.backward(list(zip(pyramid.levels, coeffs)))
-        checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
-        checks.append((image.data, tape.grads[image]))
-        recorded = [(c * lvl.data).sum() for c, lvl in zip(coeffs, pyramid.levels)]
+    with set_mode(net, "training"):
+        try:
+            for _, _, grad in net.unique_learnables():
+                grad[:] = 0.0
+            tape = Tape()
+            pyramid = net.forward(image, tape)
+            coeffs = [rng.standard_normal(lvl.dims) for lvl in pyramid.levels]
+            tape.backward(list(zip(pyramid.levels, coeffs)))
+            checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
+            checks.append((image.data, tape.grads[image]))
+            recorded = [(c * lvl.data).sum() for c, lvl in zip(coeffs, pyramid.levels)]
 
-        worst = 0.0
-        for arr, analytic in checks:
-            readers = _readers(tape.steps, arr)
-            flat = analytic.reshape(-1)
-            for start in range(0, arr.size, _PROBE_CHUNK):
-                elems = range(start, min(start + _PROBE_CHUNK, arr.size))
-                probes = [(i, v) for i in elems
-                          for v in (arr.flat[i] + engine._FD_STEP, arr.flat[i] - engine._FD_STEP)]
-                stacked = tape.replay(arr, probes, readers, pyramid.levels)
-                # per probe, the same sums as a fresh forward's projection
-                terms = [(c.reshape(-1) * stacked[lvl].data.reshape(len(probes), -1)).sum(axis=1)
-                         if lvl in stacked else term
-                         for c, lvl, term in zip(coeffs, pyramid.levels, recorded)]
-                losses = np.broadcast_to(sum(terms), len(probes))
-                for j, i in enumerate(elems):
-                    err = engine._central_error(flat[i], losses[2 * j], losses[2 * j + 1])
-                    if err == float("inf"):
-                        return err
-                    if err > worst:
-                        worst = float(err)
-        return worst
-    finally:
-        for _, _, grad in net.unique_learnables():
-            grad[:] = 0.0
-        for p, mean, var in snapshot:
-            p.running_mean[:] = mean
-            p.running_var[:] = var
-        for p, mode in old_modes:
-            p.mode = mode
+            worst = 0.0
+            for arr, analytic in checks:
+                readers = _readers(tape.steps, arr)
+                flat = analytic.reshape(-1)
+                for start in range(0, arr.size, _PROBE_CHUNK):
+                    elems = range(start, min(start + _PROBE_CHUNK, arr.size))
+                    probes = [(i, v) for i in elems for v in (
+                        arr.flat[i] + engine._FD_STEP, arr.flat[i] - engine._FD_STEP)]
+                    stacked = tape.replay(arr, probes, readers, pyramid.levels)
+                    # per probe, the same sums as a fresh forward's projection
+                    terms = [(c.reshape(-1) * stacked[lvl].data.reshape(len(probes), -1))
+                             .sum(axis=1) if lvl in stacked else term
+                             for c, lvl, term in zip(coeffs, pyramid.levels, recorded)]
+                    losses = np.broadcast_to(sum(terms), len(probes))
+                    for j, i in enumerate(elems):
+                        err = engine._central_error(flat[i], losses[2 * j], losses[2 * j + 1])
+                        if err == float("inf"):
+                            return err
+                        if err > worst:
+                            worst = float(err)
+            return worst
+        finally:
+            for _, _, grad in net.unique_learnables():
+                grad[:] = 0.0
+            for p, mean, var in snapshot:
+                p.running_mean[:] = mean
+                p.running_var[:] = var

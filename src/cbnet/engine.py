@@ -58,7 +58,7 @@ class ConvParams:
     """
 
     def __init__(self, weight, bias, stride=1, pad=0):
-        self.weight = weight if isinstance(weight, Tensor4) else Tensor4(weight)
+        self.weight = Tensor4(weight)
         c_out, c_in, kh, kw = self.weight.dims
         if kh != kw or kh not in (1, 3):
             raise ConfigError(f"conv kernel must be square 1x1 or 3x3, got {kh}x{kw}")
@@ -527,8 +527,7 @@ class Tape:
         for layer, xs, y, ctx in reversed(self.steps):
             if y in grads:
                 for x, gx in zip(xs, layer.backward(ctx, grads.pop(y))):
-                    if gx is not None:
-                        add(x, gx)
+                    add(x, gx)
         self.grads = grads
 
 

@@ -175,9 +175,10 @@ def _batch(samples):
 def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     """Plain SGD, batch size TRAIN_BATCH, epoch-wise reshuffling from seed.
 
-    Batchnorm runs in training mode during the steps and is switched back
-    to inference for the final metrics.  Aborts on a non-finite loss;
-    rejects up front a run whose one-sample batch meets a 1x1 last stage.
+    Batchnorm runs in training mode for the steps and in inference mode for
+    the final metrics, each scoped by `set_mode`, so the caller's modes come
+    back.  Aborts on a non-finite loss; rejects up front a run whose
+    one-sample batch meets a 1x1 last stage.
     """
     if not dataset:
         raise ConfigError("cannot train on an empty dataset")
@@ -197,8 +198,7 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     rng = np.random.default_rng(seed)
     order = []
     losses = []
-    set_mode(net, "training")
-    try:
+    with set_mode(net, "training"):
         for step in range(steps):
             if not order:
                 order = list(rng.permutation(len(dataset)))
@@ -220,8 +220,6 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
                     grad_seen[name] = True
                 value_arr -= lr * grad
             losses.append(value)
-    finally:
-        set_mode(net, "inference")
     metrics = evaluate(net, head, dataset)
     return TrainLog(losses, metrics, grad_seen)
 
@@ -259,24 +257,25 @@ def metrics_from_predictions(pred_grids, true_grids, pred_labels, true_labels):
 
 
 def evaluate(net: CBNet, head: Head, dataset, chunk=16) -> dict:
-    """Inference-mode metrics: objectness thresholded at probability 0.5
-    (logit > 0), class by argmax with first-index tie-break.  The net and
-    head run on a tape that records nothing, so a chunk keeps no
-    activations or im2col buffers beyond the ops that still need them."""
+    """Inference-mode metrics, the mode scoped by `set_mode`: objectness
+    thresholded at probability 0.5 (logit > 0), class by argmax with
+    first-index tie-break.  The net and head run on a tape that records
+    nothing, so a chunk keeps no activations or im2col buffers beyond the
+    ops that still need them."""
     if not dataset:
         raise ConfigError("cannot evaluate on an empty dataset")
-    set_mode(net, "inference")
     pred_grids, true_grids, pred_labels, true_labels = [], [], [], []
-    for start in range(0, len(dataset), chunk):
-        part = dataset[start:start + chunk]
-        images, grids, labels = _batch(part)
-        tape = Tape()
-        tape.recording = False
-        pyramid = net.forward(images, tape)
-        objectness, logits = head.forward(tape, pyramid)
-        pred_grids.append(objectness.data[:, 0] > 0.0)
-        true_grids.append(np.asarray(grids, dtype=bool))
-        pred_labels += list(np.argmax(logits.data.reshape(len(part), -1), axis=1))
-        true_labels += labels
+    with set_mode(net, "inference"):
+        for start in range(0, len(dataset), chunk):
+            part = dataset[start:start + chunk]
+            images, grids, labels = _batch(part)
+            tape = Tape()
+            tape.recording = False
+            pyramid = net.forward(images, tape)
+            objectness, logits = head.forward(tape, pyramid)
+            pred_grids.append(objectness.data[:, 0] > 0.0)
+            true_grids.append(np.asarray(grids, dtype=bool))
+            pred_labels += list(np.argmax(logits.data.reshape(len(part), -1), axis=1))
+            true_labels += labels
     return metrics_from_predictions(
         np.concatenate(pred_grids), np.concatenate(true_grids), pred_labels, true_labels)

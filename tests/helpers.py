@@ -198,33 +198,30 @@ def model_gradcheck_reference(net, image, loss_seed=0):
     """`model_gradcheck` as a full fresh forward per probe: the same loss
     projection, the same checked arrays in the same order, one gradcheck."""
     snapshot = [(p, p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
-    old_modes = [(p, p.mode) for p in net.bn_params()]
-    set_mode(net, "training")
     rng = np.random.default_rng(loss_seed)
-    probe = cbnet_forward(net, image)
-    coeffs = [rng.standard_normal(lvl.dims) for lvl in probe.levels]
 
     def loss_fn():
         pyr = cbnet_forward(net, image)
         return float(sum((c * lvl.data).sum() for c, lvl in zip(coeffs, pyr.levels)))
 
-    try:
-        for _, _, grad in net.unique_learnables():
-            grad[:] = 0.0
-        tape = Tape()
-        pyramid = net.forward(image, tape)
-        tape.backward(list(zip(pyramid.levels, coeffs)))
-        checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
-        checks.append((image.data, tape.grads[image]))
-        return gradcheck(loss_fn, checks)
-    finally:
-        for _, _, grad in net.unique_learnables():
-            grad[:] = 0.0
-        for p, mean, var in snapshot:
-            p.running_mean[:] = mean
-            p.running_var[:] = var
-        for p, mode in old_modes:
-            p.mode = mode
+    with set_mode(net, "training"):
+        probe = cbnet_forward(net, image)
+        coeffs = [rng.standard_normal(lvl.dims) for lvl in probe.levels]
+        try:
+            for _, _, grad in net.unique_learnables():
+                grad[:] = 0.0
+            tape = Tape()
+            pyramid = net.forward(image, tape)
+            tape.backward(list(zip(pyramid.levels, coeffs)))
+            checks = [(value, grad.copy()) for _, value, grad in net.unique_learnables()]
+            checks.append((image.data, tape.grads[image]))
+            return gradcheck(loss_fn, checks)
+        finally:
+            for _, _, grad in net.unique_learnables():
+                grad[:] = 0.0
+            for p, mean, var in snapshot:
+                p.running_mean[:] = mean
+                p.running_var[:] = var
 
 
 # -- misc ----------------------------------------------------------------------

@@ -75,6 +75,18 @@ def test_runtime_failure_exits_1(tmp_path):
     assert "error:" in result.stderr
 
 
+def test_eval_rejects_a_negative_running_var_with_exit_1(tmp_path):
+    named = state_dict(build_cbnet(CBNetConfig(num_backbones=1), sub_seed(0, NET_SEED)))
+    named["b1.stem.bn.running_var"][0] = -1.0
+    path = tmp_path / "negative.cbnw"
+    save_weights(named, path)
+    result = run_cli("eval", "--k", "1", "--n", "2", "--weights-in", str(path))
+    assert result.returncode == 1
+    assert "'b1.stem.bn.running_var': batchnorm running_var has negative entries" \
+        in result.stderr
+    assert result.stdout == ""
+
+
 def test_train_zero_steps_writes_initialized_weights(tmp_path):
     out = tmp_path / "run"
     result = run_cli("train", "--k", "1", "--steps", "0", "--n", "2", "--seed", "5",

@@ -322,6 +322,13 @@ def test_flop_count_equals_oracle_and_leaves_batchnorm_untouched(spec_name):
                 assert np.array_equal(p.running_mean, mean) and np.array_equal(p.running_var, var)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_flop_count_rejects_a_batch_size_below_one(n):
+    net = build_cbnet(CBNetConfig(spec=TOY_SPEC), 0)
+    with pytest.raises(ShapeError, match="batch size of at least 1"):
+        flop_count(net, (n, 3) + TOY_SPEC.image_size)
+
+
 def test_flop_count_rejects_dims_the_spec_does_not_accept():
     net = build_cbnet(CBNetConfig(), 0)
     with pytest.raises(ShapeError):
@@ -622,14 +629,6 @@ def test_model_gradcheck_is_unchanged_when_layers_hide_their_params(kw, monkeypa
     assert _readers(tape.steps, value) == set(range(len(tape.steps)))
     monkeypatch.setattr(composite, "Tape", _WrappingTape)
     assert model_gradcheck(net, image, loss_seed=5) == want
-
-
-def test_model_gradcheck_restores_modes_when_the_image_is_rejected():
-    net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
-    set_mode(net, "inference")
-    with pytest.raises(ShapeError):
-        model_gradcheck(net, helpers.random_image(TOY_SPEC, 34))
-    assert all(p.mode == "inference" for p in net.bn_params())
 
 
 # -- gradients live only in the backward walk ----------------------------------------

@@ -8,6 +8,8 @@ from cbnet import (
     BackboneSpec,
     CBNetConfig,
     ConfigError,
+    ShapeError,
+    TOY_SPEC,
     Tensor4,
     TrainingDivergedError,
     WithHead,
@@ -15,8 +17,12 @@ from cbnet import (
     build_head,
     cbnet_forward,
     evaluate,
+    flop_count,
+    force_zero_composites,
     gen_dataset,
     loss_and_grads,
+    model_gradcheck,
+    set_mode,
     train,
 )
 from cbnet.engine import Tape, gradcheck
@@ -342,3 +348,51 @@ def test_evaluate_runs_end_to_end_and_rejects_empty():
     assert 0.0 <= metrics["class_accuracy"] <= 1.0
     with pytest.raises(ConfigError):
         evaluate(net, head, [])
+
+
+# -- batchnorm modes ---------------------------------------------------------------
+
+
+SCOPE_SPEC = BackboneSpec(num_stages=3, stem_channels=2, stage_channels=(2, 2, 2),
+                          image_size=(24, 24))
+
+_DIVERGES = [pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
+             pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")]
+
+# name -> (error the pass raises or None, the pass)
+_PASSES = {
+    "evaluate": (None, lambda net, head, data: evaluate(net, head, data)),
+    "train": (None, lambda net, head, data: train(net, head, data, steps=2, lr=0.05, seed=0)),
+    "flop_count": (None, lambda net, head, data: flop_count(
+        net, (2, 3) + SCOPE_SPEC.image_size)),
+    "model_gradcheck": (None, lambda net, head, data: model_gradcheck(
+        net, data[0].image, loss_seed=1)),
+    "model_gradcheck-rejected-image": (ShapeError, lambda net, head, data: model_gradcheck(
+        net, helpers.random_image(TOY_SPEC, 3))),
+    "train-diverging": (TrainingDivergedError, lambda net, head, data: train(
+        net, head, data, steps=3, lr=1e300, seed=10)),
+}
+
+
+@pytest.mark.parametrize("state", ["training", "inference", "mixed"])
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=_DIVERGES if name == "train-diverging" else ())
+    for name in _PASSES])
+def test_every_pass_leaves_each_batchnorm_in_its_starting_mode(name, state):
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=SCOPE_SPEC), 11)
+    head = build_head(SCOPE_SPEC, 12)
+    data = gen_dataset(13, 6, SCOPE_SPEC.image_size[0])
+    if state == "mixed":  # training backbones, inference connections
+        set_mode(net, "training")
+        force_zero_composites(net)
+    else:
+        set_mode(net, state)
+    before = [p.mode for p in net.bn_params()]
+    assert len(set(before)) == (2 if state == "mixed" else 1)
+    error, run = _PASSES[name]
+    if error is None:
+        run(net, head, data)
+    else:
+        with pytest.raises(error):
+            run(net, head, data)
+    assert [p.mode for p in net.bn_params()] == before

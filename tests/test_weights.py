@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cbnet import (
     BackboneSpec,
     CBNetConfig,
+    ConfigError,
     TOY_SPEC,
     WeightFormatError,
     apply_state,
@@ -150,6 +151,21 @@ def test_failed_single_backbone_load_leaves_model_untouched():
     assert _model_bytes(net) == before
 
 
+@pytest.mark.parametrize("name", ["b1.stem.bn.running_var", "stage2.bn1.running_var"])
+def test_negative_running_var_is_named_and_nothing_is_copied(name):
+    # a "b1." name is a whole-model file, a bare stage name a single-backbone one
+    source = build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 6)
+    state = source.state() if name.startswith("b1.") else source.backbones[0].state()
+    named = {key: value + 1.0 for key, value in state}
+    named[name][-1] = -1.0
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 5)
+    before = _model_bytes(net)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"tensor {name!r}: batchnorm running_var has negative entries")):
+        apply_state(net, named)
+    assert _model_bytes(net) == before
+
+
 @pytest.mark.parametrize("extra", ["stage9.conv1.weight", "junk"])
 def test_single_backbone_file_rejects_names_no_backbone_holds(extra):
     named = {name: value + 1.0 for name, value in build_backbone(SMALL, 7).state()}
@@ -266,6 +282,24 @@ def test_failed_save_keeps_existing_destination(tmp_path):
     before = path.read_bytes()
     with pytest.raises(WeightFormatError, match="dim above"):
         save_weights({"a": np.ones(2), "b": np.zeros((2 ** 32, 0))}, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+def test_save_failing_in_the_os_leaves_no_temp_file_and_keeps_destination(
+        tmp_path, monkeypatch, call):
+    path = tmp_path / "w.cbnw"
+    save_weights({"a": np.arange(4.0)}, path)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError(f"{call} failed")
+
+    monkeypatch.setattr(os, call, fail)
+    with pytest.raises(OSError, match=f"{call} failed"):
+        save_weights({"a": np.ones(2)}, path)
+    monkeypatch.undo()
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
