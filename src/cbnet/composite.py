@@ -11,11 +11,11 @@ composite style:
     allc  stage l gets the previous backbone's stage l+1      (absent at l=L)
     dhlc  stage l gets every previous-backbone stage i >= l   (one g per (l, i))
 
-That rule lives in one place, the link table: one (k, l, i) triple per
-term, in forward order, meaning "stage l of backbone k adds the previous
-backbone's stage-i output".  `CBNet` builds it from its config; the
-forward pass, the build and the key lists read it, and the FLOP count is
-summed over the ops that forward runs.
+That rule lives in one place, the stage-run table: one (k, l, sources)
+triple per stage run, in forward order.  `CBNet` builds it from its
+config; the forward pass is one loop over it, the build and the key
+lists read its links, and the FLOP count is summed over the ops that
+forward runs.
 
 Only the last backbone's stage outputs (stages 2..L) are exposed as the
 feature pyramid.  Weight sharing points every backbone at one parameter
@@ -117,6 +117,8 @@ class FeaturePyramid:
         return self.levels[-1]
 
 
+_ACCELERATED_FIRST = 3  # the accelerated assistant's first stage
+
 # previous-backbone source stages of receiving stage l, before dropping absent ones
 _SOURCES = {
     CompositeStyle.AHLC: lambda l, L: [l],
@@ -126,19 +128,28 @@ _SOURCES = {
 }
 
 
-def _links(cfg: CBNetConfig):
-    """The link table: (k, l, i) triples in forward order.
-
-    Stage 1 takes no links, and a source past stage L is absent (allc at
-    l = L).  The accelerated assistant runs only stages 3..L, and only
-    after the lead's stage 2, so its links feed lead stages 3..L from
-    assistant stages 3..L.
+def _stage_runs(cfg: CBNetConfig):
+    """The stage-run table: (k, l, sources) triples in forward order, meaning
+    "add the previous backbone's stage-i output for each i in sources, then
+    run stage l of backbone k".  Backbones run in turn, but the accelerated
+    assistant has only stages 3..L and runs after the lead's stage 2, which
+    feeds it.  Stage 1 takes no links, and a source the previous backbone
+    does not run is absent (allc at l = L; below stage 3 when accelerated).
     """
-    L = cfg.spec.num_stages
-    first = 3 if cfg.accelerated else 1
-    return [(k, l, i) for k in range(2, cfg.num_backbones + 1)
-            for l in range(max(2, first), L + 1)
-            for i in _SOURCES[cfg.style](l, L) if first <= i <= L]
+    K, L = cfg.num_backbones, cfg.spec.num_stages
+    first = _ACCELERATED_FIRST if cfg.accelerated else 1
+    runs = [(K, l, ()) for l in range(1, first)]
+    for k in range(1, K + 1):
+        for l in range(first, L + 1):
+            sources = _SOURCES[cfg.style](l, L) if k > 1 and l > 1 else ()
+            runs.append((k, l, tuple(i for i in sources if first <= i <= L)))
+    return runs
+
+
+def _links(cfg: CBNetConfig):
+    """The table's links: (k, l, i) triples in forward order, meaning
+    "stage l of backbone k adds the previous backbone's stage-i output"."""
+    return [(k, l, i) for k, l, sources in _stage_runs(cfg) for i in sources]
 
 
 def _connection_key(cfg, link):
@@ -165,44 +176,29 @@ class CBNet(Module):
         self.config = config
         self.backbones = list(backbones)
         self.connections = dict(connections)
-        self.links = _links(config)
-
-    @property
-    def lead(self) -> Backbone:
-        return self.backbones[-1]
+        if set(self.connections) != set(connection_keys(config)):
+            raise ConfigError("connection keys do not match the config's composite links")
+        self._runs = _stage_runs(config)
 
     def forward(self, image: Tensor4, tape: Tape) -> FeaturePyramid:
         spec = self.config.spec
         spec.check_image(image)
-        L = spec.num_stages
-        if self.config.accelerated:
-            # lead stem and stages 1-2, then the assistant's stages 3..L from
-            # the lead's stage-2 output, then the lead's stages 3..L
-            x = self.lead.stem.run(tape, image)
-            outs = self._run_stages(tape, 2, x, range(1, 3), {})
-            assistant = self._run_stages(tape, 1, outs[2], range(3, L + 1), {})
-            outs.update(self._run_stages(tape, 2, outs[2], range(3, L + 1), assistant))
-        else:
-            outs = {}
-            for k, bb in enumerate(self.backbones, 1):
-                outs = self._run_stages(tape, k, bb.stem.run(tape, image), range(1, L + 1), outs)
-        return FeaturePyramid([outs[l] for l in range(2, L + 1)])
-
-    def _run_stages(self, tape, k, x, stages, prev):
-        """Chain `stages` of backbone k from input x, adding each stage's links
-        from prev (stage -> previous-backbone output); returns stage -> output."""
-        bb = self.backbones[k - 1]
-        direct = self.config.style is CompositeStyle.SLC
-        outs = {}
-        for l in stages:
-            for link in self.links:
-                if link[0] == k and link[1] == l:
-                    src = prev[link[2]]
-                    if not direct:
-                        src = self.connections[_connection_key(self.config, link)].run(tape, src)
-                    x = tape.run(ADD, x, src)
-            x = outs[l] = bb.stage(l).run(tape, x)
-        return outs
+        K = len(self.backbones)
+        outs = {}  # (k, l) -> stage output
+        for k, l, sources in self._runs:
+            bb = self.backbones[k - 1]
+            if l == 1:  # backbones before k - 1 have fed every stage they feed
+                outs = {key: y for key, y in outs.items() if key[0] >= k - 1}
+                x = bb.stem.run(tape, image)
+            else:  # a truncated backbone's first stage starts from the lead
+                x = outs[k if l > bb.first_stage else K, l - 1]
+            for i in sources:
+                src = outs[k - 1, i]
+                conn = self.connections.get(_connection_key(self.config, (k, l, i)))
+                # slc has no connections: it adds its sources directly
+                x = tape.run(ADD, x, src if conn is None else conn.run(tape, src))
+            x = outs[k, l] = bb.stage(l).run(tape, x)  # frees the stage's input sum
+        return FeaturePyramid([outs[K, l] for l in range(2, spec.num_stages + 1)])
 
     def children(self):
         return [(f"b{k}", bb) for k, bb in enumerate(self.backbones, 1)] + [
@@ -232,25 +228,22 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
     rng = np.random.default_rng(seed)
     bseeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=cfg.num_backbones)]
     spec = cfg.spec
-    if cfg.accelerated:
-        if cfg.share_weights:
-            lead = build_backbone(spec, bseeds[-1])
-            asst = Backbone(spec, None, lead.stages[2:], first_stage=3)
-        else:
-            asst = build_backbone(spec, bseeds[0], first_stage=3)
-            lead = build_backbone(spec, bseeds[-1])
-        backbones = [asst, lead]
-    elif cfg.share_weights:
-        backbones = [build_backbone(spec, bseeds[0])] * cfg.num_backbones
+    # backbone k runs stages firsts[k - 1]..L
+    firsts = [_ACCELERATED_FIRST if cfg.accelerated else 1] + [1] * (cfg.num_backbones - 1)
+    if cfg.share_weights:
+        # the first full backbone's seed (the lead's when accelerated), so the
+        # shared weights are the ones that backbone has in the unshared net
+        full = build_backbone(spec, bseeds[firsts.index(1)])
+        backbones = [full if f == 1 else Backbone(spec, None, full.stages[f - 1:], f)
+                     for f in firsts]
     else:
-        backbones = [build_backbone(spec, s) for s in bseeds]
+        backbones = [build_backbone(spec, s, f) for s, f in zip(bseeds, firsts)]
 
     connections = {}
     if cfg.style is not CompositeStyle.SLC:  # slc adds its sources directly
         for link in _links(cfg):
             k, l, i = link
-            c_src = backbones[k - 2].stage(i).conv2.params.c_out
-            c_dst = backbones[k - 1].stage(l - 1).conv2.params.c_out
+            c_src, c_dst = spec.stage_out_channels(i), spec.stage_out_channels(l - 1)
             conv = _init_conv(rng, c_src, c_dst, 1, stride=1, pad=0)
             connections[_connection_key(cfg, link)] = CompositeConnection(
                 conv, _init_bn(c_dst), spec.stage_hw(l - 1))
@@ -367,9 +360,9 @@ def apply_state(net: CBNet, named, head=None):
     cover the net, and the head too when `head` is given and the file has
     "head.*" entries.  Without `head` those entries are ignored; any other
     name the model lacks is rejected, and so are differing copies of one
-    shared array and a negative batchnorm `running_var`.  All of this is
-    checked before anything is copied, so a rejected file leaves the model
-    untouched.
+    shared array, a NaN or inf, and a negative batchnorm `running_var`.
+    All of this is checked before anything is copied, so a rejected file
+    leaves the model untouched.
     """
     if any(name.startswith("stem.") for name in named):
         targets = [pair for bb in net.backbones for pair in bb.state()]
@@ -388,6 +381,8 @@ def apply_state(net: CBNet, named, head=None):
         if dest.shape != named[name].shape:
             raise WeightsMismatch(
                 f"tensor {name!r}: file shape {named[name].shape} != model shape {dest.shape}")
+        if not np.isfinite(named[name]).all():
+            raise ConfigError(f"tensor {name!r} holds NaN or inf")
         if name.endswith(".running_var") and np.any(named[name] < 0.0):
             raise ConfigError(f"tensor {name!r}: batchnorm running_var has negative entries")
         other = first.setdefault(id(dest), name)

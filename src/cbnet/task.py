@@ -264,6 +264,8 @@ def evaluate(net: CBNet, head: Head, dataset, chunk=16) -> dict:
     ops that still need them."""
     if not dataset:
         raise ConfigError("cannot evaluate on an empty dataset")
+    if chunk < 1:
+        raise ConfigError(f"evaluation chunk must be at least 1, got {chunk}")
     pred_grids, true_grids, pred_labels, true_labels = [], [], [], []
     with set_mode(net, "inference"):
         for start in range(0, len(dataset), chunk):

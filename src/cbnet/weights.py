@@ -42,8 +42,6 @@ def save_weights(named, path):
         if not raw or len(raw) > 0xFFFF:
             raise WeightFormatError(f"bad tensor name {name!r}")
         arr = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
-        if arr.ndim > 255:
-            raise WeightFormatError(f"tensor {name!r} has too many dims")
         if any(d > 0xFFFFFFFF for d in arr.shape):
             raise WeightFormatError(f"tensor {name!r} has a dim above 2**32 - 1")
         if not np.isfinite(arr).all():

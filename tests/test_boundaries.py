@@ -1,0 +1,107 @@
+"""Constructor and argument checks that no other test reaches: each case
+calls one entry point with one bad value and expects the named error."""
+
+import os
+
+import numpy as np
+import pytest
+
+from cbnet import (
+    Backbone,
+    BackboneSpec,
+    BatchNormParams,
+    CBNet,
+    CBNetConfig,
+    CompositeConnection,
+    CompositeStyle,
+    ConfigError,
+    ConvParams,
+    ShapeError,
+    TOY_SPEC,
+    Tensor4,
+    build_backbone,
+    build_cbnet,
+    force_zero_composites,
+    loss_and_grads,
+    set_mode,
+    write_pgm,
+)
+from cbnet.task import build_task
+
+
+def _conv(c_out=2, c_in=2, k=1, bias=None, **kw):
+    return ConvParams(np.zeros((c_out, c_in, k, k)),
+                      np.zeros(c_out) if bias is None else bias, **kw)
+
+
+def _bn(c=2, beta=None, **kw):
+    return BatchNormParams(np.ones(c), np.zeros(c) if beta is None else beta,
+                           np.zeros(c), np.ones(c), **kw)
+
+
+CASES = {
+    "backbone stage count": (
+        lambda: Backbone(TOY_SPEC, None, [], first_stage=3),
+        ConfigError, "backbone needs 1 stages from stage 3, got 0"),
+    "backbone stage 1 without a stem": (
+        lambda: Backbone(TOY_SPEC, None, build_backbone(TOY_SPEC, 0).stages),
+        ConfigError, "stem must be present exactly when first_stage == 1"),
+    "build_backbone first stage 0": (
+        lambda: build_backbone(TOY_SPEC, 0, first_stage=0),
+        ConfigError, "first_stage 0 out of range"),
+    "build_backbone first stage past L": (
+        lambda: build_backbone(TOY_SPEC, 0, first_stage=4),
+        ConfigError, "first_stage 4 out of range"),
+    "connection bn channels": (
+        lambda: CompositeConnection(_conv(c_out=4), _bn(5), (4, 4)),
+        ShapeError, "composite bn channels 5 != conv c_out 4"),
+    "net connections": (
+        lambda: CBNet(CBNetConfig(num_backbones=2, spec=TOY_SPEC),
+                      build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 0).backbones, {}),
+        ConfigError, "connection keys do not match the config's composite links"),
+    "set_mode mode": (
+        lambda: set_mode(build_cbnet(CBNetConfig(num_backbones=1, spec=TOY_SPEC), 0), "eval"),
+        ConfigError, "unknown mode 'eval'"),
+    "zero shared slc assistants": (
+        lambda: force_zero_composites(build_cbnet(CBNetConfig(
+            num_backbones=2, style=CompositeStyle.SLC, share_weights=True, spec=TOY_SPEC), 0)),
+        ConfigError, "cannot zero slc assistants under weight sharing"),
+    "conv bias shape": (
+        lambda: _conv(bias=np.zeros(3)),
+        ShapeError, "bias shape (3,) does not match c_out=2"),
+    "conv stride": (
+        lambda: _conv(stride=0),
+        ConfigError, "invalid stride=0 pad=0"),
+    "conv pad": (
+        lambda: _conv(pad=-1),
+        ConfigError, "invalid stride=1 pad=-1"),
+    "bn beta shape": (
+        lambda: _bn(beta=np.zeros(3)),
+        ShapeError, "batchnorm beta shape (3,) != gamma shape (2,)"),
+    "bn mode": (
+        lambda: _bn(mode="eval"),
+        ConfigError, "batchnorm mode must be training|inference, got 'eval'"),
+    "loss objectness shape": (
+        lambda: loss_and_grads(Tensor4(np.zeros((1, 1, 2, 2))), Tensor4(np.zeros((1, 3, 1, 1))),
+                               np.zeros((1, 3, 3)), [0]),
+        ShapeError, "objectness (1, 2, 2) does not match targets (1, 3, 3)"),
+    "loss class logits": (
+        lambda: loss_and_grads(Tensor4(np.zeros((1, 1, 2, 2))), Tensor4(np.zeros((1, 2, 1, 1))),
+                               np.zeros((1, 2, 2)), [0]),
+        ShapeError, "class logits (1, 2) / labels (1,) malformed"),
+    "task image not square": (
+        lambda: build_task(CBNetConfig(num_backbones=1, spec=BackboneSpec(
+            num_stages=2, stem_channels=2, stage_channels=(2, 2), image_size=(24, 32))), 0, 1),
+        ConfigError, "the synthetic task needs a square image size"),
+    "pgm payload dims": (
+        lambda: write_pgm(np.zeros((2, 2, 2)), os.devnull),
+        ShapeError, "PGM payload must be 2-d, got shape (2, 2, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bad_argument_raises_a_named_error(case):
+    call, error, fragment = CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

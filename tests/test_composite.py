@@ -501,7 +501,7 @@ def test_cbnw_layout_is_pinned(tmp_path, kw, want):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
-# -- stacked probe replay ----------------------------------------------------------
+# -- the TOY_SPEC config sweep: step order and stacked probe replay ----------------
 
 
 def _toy_configs():
@@ -519,10 +519,69 @@ def _cfg_id(cfg):
             f"{'-accelerated' if cfg.accelerated else ''}")
 
 
+# Under weight sharing, running statistics fold and parameter gradients
+# accumulate in tape order, so the order of the forward's steps is pinned.
+PINNED_STEP_SHA256 = {
+    "1-ahlc": "0167c4e29a83de30",
+    "1-ahlc-shared": "0167c4e29a83de30",
+    "1-slc": "0167c4e29a83de30",
+    "1-slc-shared": "0167c4e29a83de30",
+    "1-allc": "0167c4e29a83de30",
+    "1-allc-shared": "0167c4e29a83de30",
+    "1-dhlc": "0167c4e29a83de30",
+    "1-dhlc-shared": "0167c4e29a83de30",
+    "2-ahlc": "4c127d81b32f0eaf",
+    "2-ahlc-accelerated": "ffcf5545d32d1fe9",
+    "2-ahlc-shared": "8e6c1626ca63b922",
+    "2-ahlc-shared-accelerated": "4f076915d8f2c704",
+    "2-slc": "cdc1536abe87d306",
+    "2-slc-accelerated": "27e9a78b29bec120",
+    "2-slc-shared": "05727a5b946f3222",
+    "2-slc-shared-accelerated": "72841c04613f6176",
+    "2-allc": "c68d0d33e6f769d5",
+    "2-allc-accelerated": "27e9a78b29bec120",
+    "2-allc-shared": "12cea76d42d21c35",
+    "2-allc-shared-accelerated": "72841c04613f6176",
+    "2-dhlc": "e30d5ef66efa9a2b",
+    "2-dhlc-accelerated": "3fe3e90794bc78e7",
+    "2-dhlc-shared": "d20cbf021dc21046",
+    "2-dhlc-shared-accelerated": "0b5f7bbffe002e1d",
+    "3-ahlc": "9ef59471383dfa46",
+    "3-ahlc-shared": "e4f77788d0f46270",
+    "3-slc": "4f939b3f5e2502cd",
+    "3-slc-shared": "859f19d6a92bceab",
+    "3-allc": "d0a8f3fd0f0584e9",
+    "3-allc-shared": "629850096eb45a07",
+    "3-dhlc": "9581dd61950a3720",
+    "3-dhlc-shared": "9cd250e25ee0cbfe",
+}
+
+
+def _step_digest(net):
+    """sha256 of the recording forward's steps, one line per step: the layer
+    class and the dotted name of the parameters it reads ("-" for none)."""
+    names = {}
+    for name, value, _ in net.learnables():
+        names.setdefault(id(value), name.rsplit(".", 1)[0])
+    tape = Tape()
+    net.forward(helpers.random_image(net.config.spec, 0), tape)
+    lines = []
+    for layer, _, _, _ in tape.steps:
+        p = getattr(layer, "params", None)
+        value = p.weight.data if isinstance(p, ConvParams) else getattr(p, "gamma", None)
+        lines.append(f"{type(layer).__name__} {names.get(id(value), '-')}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cfg", list(_toy_configs()), ids=_cfg_id)
+def test_forward_step_order_is_pinned(cfg):
+    assert _step_digest(build_cbnet(cfg, 0)) == PINNED_STEP_SHA256[_cfg_id(cfg)]
+
+
 def _perturbed_arrays(net, image):
     """The image, a lead last-stage conv weight, a composite connection
     weight (when there is one) and, under sharing, a shared BN gamma."""
-    last = net.lead.stage(net.config.spec.num_stages)
+    last = net.backbones[-1].stage(net.config.spec.num_stages)
     arrays = [("image", image.data), ("lead conv", last.conv1.params.weight.data)]
     if net.connections:
         conn = list(net.connections.values())[-1]

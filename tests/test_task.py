@@ -350,6 +350,13 @@ def test_evaluate_runs_end_to_end_and_rejects_empty():
         evaluate(net, head, [])
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_evaluate_rejects_a_chunk_below_one(chunk):
+    net, head, data = _tiny_setup(n=2)
+    with pytest.raises(ConfigError, match=f"chunk must be at least 1, got {chunk}"):
+        evaluate(net, head, data, chunk=chunk)
+
+
 # -- batchnorm modes ---------------------------------------------------------------
 
 

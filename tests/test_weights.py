@@ -166,6 +166,22 @@ def test_negative_running_var_is_named_and_nothing_is_copied(name):
     assert _model_bytes(net) == before
 
 
+@pytest.mark.parametrize("name", ["b1.stem.bn.running_var", "b2.stage1.conv1.weight",
+                                  "stage2.bn1.running_var", "stem.conv.weight"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_mapping_is_named_and_nothing_is_copied(name, bad):
+    # a "b1."/"b2." name is a whole-model mapping, a bare name a single-backbone one
+    source = build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 6)
+    state = source.state() if name.startswith("b") else source.backbones[0].state()
+    named = {key: value + 1.0 for key, value in state}
+    named[name].flat[0] = bad
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=SMALL), 5)
+    before = _model_bytes(net)
+    with pytest.raises(ConfigError, match=re.escape(f"tensor {name!r} holds NaN or inf")):
+        apply_state(net, named)
+    assert _model_bytes(net) == before
+
+
 @pytest.mark.parametrize("extra", ["stage9.conv1.weight", "junk"])
 def test_single_backbone_file_rejects_names_no_backbone_holds(extra):
     named = {name: value + 1.0 for name, value in build_backbone(SMALL, 7).state()}
