@@ -37,6 +37,11 @@ class BackboneSpec:
     in_channels: ClassVar[int] = 3  # images are RGB
 
     def __post_init__(self):
+        for name in ("num_stages", "stem_channels", "stage_channels", "image_size"):
+            value = getattr(self, name)  # numpy integers pass; floats and bools do not
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+                       for v in (value if np.ndim(value) else [value])):
+                raise ConfigError(f"BackboneSpec.{name}: expected positive integers, got {value!r}")
         object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
         object.__setattr__(self, "image_size", tuple(int(s) for s in self.image_size))
         if self.num_stages < 2:
@@ -45,8 +50,8 @@ class BackboneSpec:
             raise ConfigError(
                 f"stage_channels has {len(self.stage_channels)} entries for "
                 f"{self.num_stages} stages")
-        if any(c < 1 for c in self.stage_channels) or self.stem_channels < 1:
-            raise ConfigError("channel counts must be positive")
+        if len(self.image_size) != 2:
+            raise ConfigError(f"image_size must have 2 entries, got {self.image_size}")
         h, w = self.image_size
         div = 2 ** self.num_stages
         if h % div or w % div:

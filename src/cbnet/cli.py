@@ -116,7 +116,8 @@ def cmd_train(args):
     _ensure_outdir(args.out)
     weights_out = args.weights_out or os.path.join(args.out, "weights.cbnw")
     parent = os.path.dirname(weights_out) or "."
-    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+    if (os.path.isdir(weights_out) or not os.path.isdir(parent)
+            or not os.access(parent, os.W_OK)):
         raise ConfigError(f"cannot write weights to {weights_out!r}")
     net, head, dataset = build_task(cfg, args.seed, args.n)
     if args.weights_in:

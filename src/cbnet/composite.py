@@ -11,11 +11,10 @@ composite style:
     allc  stage l gets the previous backbone's stage l+1      (absent at l=L)
     dhlc  stage l gets every previous-backbone stage i >= l   (one g per (l, i))
 
-That rule lives in one place, the stage-run table: one (k, l, sources)
-triple per stage run, in forward order.  `CBNet` builds it from its
-config; the forward pass is one loop over it, the build and the key
-lists read its links, and the FLOP count is summed over the ops that
-forward runs.
+That rule lives in one place, the stage-run table: (k, l, links) per
+stage run in forward order, each link a (source stage, connection key)
+pair whose key is None where slc adds directly.  The forward pass is one
+loop over the table; the build and the key lists read it.
 
 Only the last backbone's stage outputs (stages 2..L) are exposed as the
 feature pyramid.  Weight sharing points every backbone at one parameter
@@ -61,6 +60,9 @@ class CompositeStyle(enum.Enum):
     DHLC = "dhlc"
 
 
+_ACCELERATED_FIRST = 3  # the accelerated assistant's first stage
+
+
 @dataclass(frozen=True)
 class CBNetConfig:
     num_backbones: int = 2
@@ -70,13 +72,19 @@ class CBNetConfig:
     spec: BackboneSpec = field(default_factory=BackboneSpec)
 
     def __post_init__(self):
+        for name, kinds, what in (("num_backbones", (int, np.integer), "an integer"),
+                                  ("style", CompositeStyle, "a CompositeStyle"),
+                                  ("spec", BackboneSpec, "a BackboneSpec")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):  # a bool is an int
+                raise ConfigError(f"CBNetConfig.{name}: expected {what}, got {value!r}")
         if self.num_backbones < 1:
             raise ConfigError(f"need at least one backbone, got {self.num_backbones}")
         if self.accelerated:
             if self.num_backbones != 2:
                 raise ConfigError("accelerated variant requires exactly 2 backbones")
-            if self.spec.num_stages < 3:
-                raise ConfigError("accelerated variant needs at least 3 stages")
+            if self.spec.num_stages < _ACCELERATED_FIRST:
+                raise ConfigError(f"accelerated variant needs at least {_ACCELERATED_FIRST} stages")
 
 
 class CompositeConnection(Module):
@@ -117,58 +125,44 @@ class FeaturePyramid:
         return self.levels[-1]
 
 
-_ACCELERATED_FIRST = 3  # the accelerated assistant's first stage
-
-# previous-backbone source stages of receiving stage l, before dropping absent ones
-_SOURCES = {
-    CompositeStyle.AHLC: lambda l, L: [l],
-    CompositeStyle.SLC: lambda l, L: [l - 1],
-    CompositeStyle.ALLC: lambda l, L: [l + 1],
-    CompositeStyle.DHLC: lambda l, L: range(l, L + 1),
+# (source stage i, connection key) links of receiving stage l of backbone k,
+# before dropping absent sources; a None key adds the source directly
+_LINKS = {
+    CompositeStyle.AHLC: lambda k, l, L: [(l, (k, l))],
+    CompositeStyle.SLC: lambda k, l, L: [(l - 1, None)],
+    CompositeStyle.ALLC: lambda k, l, L: [(l + 1, (k, l))],
+    CompositeStyle.DHLC: lambda k, l, L: [(i, (k, l, i)) for i in range(l, L + 1)],
 }
 
 
 def _stage_runs(cfg: CBNetConfig):
-    """The stage-run table: (k, l, sources) triples in forward order, meaning
-    "add the previous backbone's stage-i output for each i in sources, then
-    run stage l of backbone k".  Backbones run in turn, but the accelerated
-    assistant has only stages 3..L and runs after the lead's stage 2, which
-    feeds it.  Stage 1 takes no links, and a source the previous backbone
-    does not run is absent (allc at l = L; below stage 3 when accelerated).
-    """
+    """The stage-run table: (k, l, links) in forward order, meaning "for each
+    (i, key) in links add the previous backbone's stage-i output, through
+    connection `key` or directly when key is None, then run stage l of
+    backbone k".  Backbones run in turn from their first stage, but the
+    accelerated assistant has only stages 3..L and runs after the lead's
+    stage 2, which feeds it.  Stage 1 takes no links, and a source the
+    previous backbone does not run is absent (allc at l = L; below stage 3
+    when accelerated)."""
     K, L = cfg.num_backbones, cfg.spec.num_stages
     first = _ACCELERATED_FIRST if cfg.accelerated else 1
     runs = [(K, l, ()) for l in range(1, first)]
     for k in range(1, K + 1):
         for l in range(first, L + 1):
-            sources = _SOURCES[cfg.style](l, L) if k > 1 and l > 1 else ()
-            runs.append((k, l, tuple(i for i in sources if first <= i <= L)))
+            links = _LINKS[cfg.style](k, l, L) if k > 1 and l > 1 else ()
+            runs.append((k, l, tuple((i, key) for i, key in links if first <= i <= L)))
     return runs
-
-
-def _links(cfg: CBNetConfig):
-    """The table's links: (k, l, i) triples in forward order, meaning
-    "stage l of backbone k adds the previous backbone's stage-i output"."""
-    return [(k, l, i) for k, l, sources in _stage_runs(cfg) for i in sources]
-
-
-def _connection_key(cfg, link):
-    return link if cfg.style is CompositeStyle.DHLC else link[:2]
 
 
 def connection_keys(cfg: CBNetConfig):
     """Learned composite-connection keys in build order: (k, l) for ahlc/allc,
     (k, l, i) for dhlc, nothing for slc (it adds directly)."""
-    if cfg.style is CompositeStyle.SLC:
-        return []
-    return [_connection_key(cfg, link) for link in _links(cfg)]
+    return [key for _, _, links in _stage_runs(cfg) for _, key in links if key is not None]
 
 
 def direct_add_keys(cfg: CBNetConfig):
     """(k, l) pairs where slc adds the previous backbone's stage l-1 directly."""
-    if cfg.style is not CompositeStyle.SLC:
-        return []
-    return [link[:2] for link in _links(cfg)]
+    return [(k, l) for k, l, links in _stage_runs(cfg) for _, key in links if key is None]
 
 
 class CBNet(Module):
@@ -185,18 +179,16 @@ class CBNet(Module):
         spec.check_image(image)
         K = len(self.backbones)
         outs = {}  # (k, l) -> stage output
-        for k, l, sources in self._runs:
+        for k, l, links in self._runs:
             bb = self.backbones[k - 1]
             if l == 1:  # backbones before k - 1 have fed every stage they feed
-                outs = {key: y for key, y in outs.items() if key[0] >= k - 1}
+                outs = {run: y for run, y in outs.items() if run[0] >= k - 1}
                 x = bb.stem.run(tape, image)
             else:  # a truncated backbone's first stage starts from the lead
                 x = outs[k if l > bb.first_stage else K, l - 1]
-            for i in sources:
+            for i, key in links:
                 src = outs[k - 1, i]
-                conn = self.connections.get(_connection_key(self.config, (k, l, i)))
-                # slc has no connections: it adds its sources directly
-                x = tape.run(ADD, x, src if conn is None else conn.run(tape, src))
+                x = tape.run(ADD, x, src if key is None else self.connections[key].run(tape, src))
             x = outs[k, l] = bb.stage(l).run(tape, x)  # frees the stage's input sum
         return FeaturePyramid([outs[K, l] for l in range(2, spec.num_stages + 1)])
 
@@ -228,8 +220,9 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
     rng = np.random.default_rng(seed)
     bseeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=cfg.num_backbones)]
     spec = cfg.spec
+    runs = _stage_runs(cfg)
     # backbone k runs stages firsts[k - 1]..L
-    firsts = [_ACCELERATED_FIRST if cfg.accelerated else 1] + [1] * (cfg.num_backbones - 1)
+    firsts = [min(l for j, l, _ in runs if j == k) for k in range(1, cfg.num_backbones + 1)]
     if cfg.share_weights:
         # the first full backbone's seed (the lead's when accelerated), so the
         # shared weights are the ones that backbone has in the unshared net
@@ -240,13 +233,12 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
         backbones = [build_backbone(spec, s, f) for s, f in zip(bseeds, firsts)]
 
     connections = {}
-    if cfg.style is not CompositeStyle.SLC:  # slc adds its sources directly
-        for link in _links(cfg):
-            k, l, i = link
-            c_src, c_dst = spec.stage_out_channels(i), spec.stage_out_channels(l - 1)
-            conv = _init_conv(rng, c_src, c_dst, 1, stride=1, pad=0)
-            connections[_connection_key(cfg, link)] = CompositeConnection(
-                conv, _init_bn(c_dst), spec.stage_hw(l - 1))
+    for _, l, links in runs:
+        for i, key in links:
+            if key is not None:
+                c_src, c_dst = spec.stage_out_channels(i), spec.stage_out_channels(l - 1)
+                conv = _init_conv(rng, c_src, c_dst, 1, stride=1, pad=0)
+                connections[key] = CompositeConnection(conv, _init_bn(c_dst), spec.stage_hw(l - 1))
     return CBNet(cfg, backbones, connections)
 
 

@@ -6,6 +6,7 @@ from cbnet import (
     BackboneSpec,
     ConfigError,
     ShapeError,
+    TOY_SPEC,
     Tensor4,
     backbone_forward,
     build_backbone,
@@ -110,6 +111,13 @@ def test_image_shape_mismatch_rejected():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ConfigError):
         BackboneSpec(**kwargs)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = BackboneSpec(num_stages=np.int64(3), stem_channels=np.int32(4),
+                        stage_channels=np.array([4, 8, 8]), image_size=(np.int64(16), 16))
+    assert spec == TOY_SPEC
+    assert spec.stage_channels == (4, 8, 8) and type(spec.image_size[0]) is int
 
 
 def test_truncated_backbone_has_no_stem_or_early_stages():

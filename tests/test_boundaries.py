@@ -59,6 +59,39 @@ CASES = {
         lambda: CBNet(CBNetConfig(num_backbones=2, spec=TOY_SPEC),
                       build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 0).backbones, {}),
         ConfigError, "connection keys do not match the config's composite links"),
+    "config style not a CompositeStyle": (
+        lambda: CBNetConfig(style="ahlc", spec=TOY_SPEC),
+        ConfigError, "CBNetConfig.style: expected a CompositeStyle, got 'ahlc'"),
+    "config backbone count a float": (
+        lambda: CBNetConfig(num_backbones=2.5, spec=TOY_SPEC),
+        ConfigError, "CBNetConfig.num_backbones: expected an integer, got 2.5"),
+    "config backbone count a bool": (
+        lambda: CBNetConfig(num_backbones=True, spec=TOY_SPEC),
+        ConfigError, "CBNetConfig.num_backbones: expected an integer, got True"),
+    "config spec not a BackboneSpec": (
+        lambda: CBNetConfig(spec=(3, 4)),
+        ConfigError, "CBNetConfig.spec: expected a BackboneSpec, got (3, 4)"),
+    "spec stage channel a float": (
+        lambda: BackboneSpec(stage_channels=(8.7, 16, 32, 64, 128)),
+        ConfigError, "BackboneSpec.stage_channels: expected positive integers, got (8.7,"),
+    "spec image size a float": (
+        lambda: BackboneSpec(image_size=(64.9, 64)),
+        ConfigError, "BackboneSpec.image_size: expected positive integers, got (64.9, 64)"),
+    "spec stem channels a float": (
+        lambda: BackboneSpec(stem_channels=2.5),
+        ConfigError, "BackboneSpec.stem_channels: expected positive integers, got 2.5"),
+    "spec stage count a float": (
+        lambda: BackboneSpec(num_stages=5.0),
+        ConfigError, "BackboneSpec.num_stages: expected positive integers, got 5.0"),
+    "spec stem channels a bool": (
+        lambda: BackboneSpec(stem_channels=True),
+        ConfigError, "BackboneSpec.stem_channels: expected positive integers, got True"),
+    "spec image size zero": (
+        lambda: BackboneSpec(image_size=(0, 0)),
+        ConfigError, "BackboneSpec.image_size: expected positive integers, got (0, 0)"),
+    "spec image size of 3 entries": (
+        lambda: BackboneSpec(image_size=(64, 64, 64)),
+        ConfigError, "image_size must have 2 entries, got (64, 64, 64)"),
     "set_mode mode": (
         lambda: set_mode(build_cbnet(CBNetConfig(num_backbones=1, spec=TOY_SPEC), 0), "eval"),
         ConfigError, "unknown mode 'eval'"),

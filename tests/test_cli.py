@@ -201,3 +201,13 @@ def test_explicit_weights_out_path(tmp_path):
                   "--weights-out", str(tmp_path / "no-such-dir" / "w.cbnw"))
     assert bad.returncode == 1
     assert "error:" in bad.stderr
+
+
+def test_weights_out_directory_is_rejected_before_training(tmp_path):
+    target = tmp_path / "weights"
+    target.mkdir()
+    result = run_cli("train", "--k", "1", "--steps", "1", "--n", "4",
+                     "--out", str(tmp_path / "run"), "--weights-out", str(target))
+    assert result.returncode == 1
+    assert f"cannot write weights to {str(target)!r}" in result.stderr
+    assert not (tmp_path / "run" / "loss.csv").exists()

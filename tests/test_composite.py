@@ -400,6 +400,11 @@ def test_invalid_k_rejected():
         CBNetConfig(num_backbones=0, spec=SMALL)
 
 
+def test_config_accepts_a_numpy_backbone_count():
+    cfg = CBNetConfig(num_backbones=np.int64(2), spec=TOY_SPEC)
+    assert len(build_cbnet(cfg, 0).backbones) == 2
+
+
 # -- config space and weight layout --------------------------------------------------
 
 TINY = BackboneSpec(num_stages=3, stem_channels=2, stage_channels=(2, 3, 3),
@@ -418,8 +423,12 @@ def test_config_sweep_builds_runs_and_round_trips(k, style, share, accelerated):
     except ConfigError:
         assert accelerated and k != 2
         return
-    links = len(connection_keys(cfg)) + len(direct_add_keys(cfg))
-    assert links == (k - 1) * len(helpers.connection_pairs_oracle(cfg))
+    # receivers 2..K in build order, each with the oracle's (l, i) pairs
+    links = [(r, l, i) for r in range(2, k + 1) for l, i in helpers.connection_pairs_oracle(cfg)]
+    pairs = [(r, l) for r, l, _ in links]
+    slc, dhlc = style is CompositeStyle.SLC, style is CompositeStyle.DHLC
+    assert connection_keys(cfg) == list(net.connections) == ([] if slc else links if dhlc else pairs)
+    assert direct_add_keys(cfg) == (pairs if slc else [])
 
     img = helpers.random_image(TINY, 4)
     tape = Tape()
