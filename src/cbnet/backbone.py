@@ -37,10 +37,15 @@ class BackboneSpec:
     in_channels: ClassVar[int] = 3  # images are RGB
 
     def __post_init__(self):
-        for name in ("num_stages", "stem_channels", "stage_channels", "image_size"):
-            value = getattr(self, name)  # numpy integers pass; floats and bools do not
+        for name, ndim in (("num_stages", 0), ("stem_channels", 0),
+                           ("stage_channels", 1), ("image_size", 1)):
+            value = getattr(self, name)
+            if np.ndim(value) != ndim:
+                what = "a sequence of positive integers" if ndim else "one positive integer"
+                raise ConfigError(f"BackboneSpec.{name}: expected {what}, got {value!r}")
+            # numpy integers pass; floats and bools do not
             if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-                       for v in (value if np.ndim(value) else [value])):
+                       for v in (value if ndim else [value])):
                 raise ConfigError(f"BackboneSpec.{name}: expected positive integers, got {value!r}")
         object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
         object.__setattr__(self, "image_size", tuple(int(s) for s in self.image_size))

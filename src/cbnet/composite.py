@@ -277,13 +277,14 @@ class set_mode:
 def force_zero_composites(net: CBNet):
     """Make every composite contribution exactly zero (test/diagnostic mode).
 
-    The modules zeroed are the learned connections, plus under slc (which
-    has none) the assistant backbones, whose stage outputs then become 0.
-    In each, every tensor but gamma becomes 0 and running_var 1, and every
-    batchnorm goes to inference mode.
+    The modules zeroed are the learned connections, plus, where the
+    stage-run table adds a source directly (slc), the assistant backbones,
+    whose stage outputs then become 0; under weight sharing that would zero
+    the lead too, so it raises.  In each module, every tensor but gamma
+    becomes 0 and running_var 1, and every batchnorm goes to inference mode.
     """
     modules = list(net.connections.values())
-    if net.config.style is CompositeStyle.SLC and net.config.num_backbones > 1:
+    if direct_add_keys(net.config):
         if net.config.share_weights:
             raise ConfigError("cannot zero slc assistants under weight sharing")
         modules += net.backbones[:-1]
@@ -415,15 +416,20 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     levels; every unique learned parameter and the input image are
     perturbed.  Batchnorm runs in training mode (the path the trainer
     uses), scoped by `set_mode`.  The recorded forward folds its batch
-    statistics into the running stats, so they are snapshotted and
-    restored; probe stacks never touch them.
+    statistics into the running stats, and so does a shared layer's
+    per-probe forward, so they are snapshotted and restored.
 
     Probes (+step, then -step, per element) replay the recorded tape
-    as one stack of up to _PROBE_CHUNK elements (`Tape.replay`).  Ops that
-    do not depend on the perturbed array keep their recorded outputs,
-    which is exactly what a fresh forward would compute, since
-    training-mode batchnorm outputs do not depend on the running stats.
-    The check stops after the first chunk with a non-finite probe loss.
+    as one stack of up to _PROBE_CHUNK elements (`Tape.replay`): the stem
+    runs once on a stack of perturbed images, and a conv or batchnorm
+    that reads a probed parameter reruns per probe from its recorded
+    columns or normalized input (its forward runs per probe only if it
+    hides its params or is shared and an earlier reader stacked its
+    input).  Ops that do not depend on the perturbed array keep their
+    recorded outputs, which is exactly what a fresh forward would
+    compute, since training-mode batchnorm outputs do not depend on the
+    running stats.  The check stops after the first chunk with a
+    non-finite probe loss.
     """
     snapshot = [(p, p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
     rng = np.random.default_rng(loss_seed)

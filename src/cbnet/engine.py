@@ -158,13 +158,17 @@ def _conv_check(x, p):
             f"conv2d: input shape {x.shape} does not match weight shape {p.weight.dims}")
 
 
-def _conv_forward(x, p):
-    _conv_check(x, p)
-    n = x.shape[0]
-    cols, oh, ow = _im2col(x, p.kernel, p.stride, p.pad)
+def _conv_gemm(cols, p, n, oh, ow):
+    """The (n, c_out, oh, ow) conv output from its input's columns."""
     y = np.matmul(p.weight.data.reshape(p.c_out, -1), cols)
     y += p.bias[:, None]
-    return y.reshape(n, p.c_out, oh, ow), cols
+    return y.reshape(n, p.c_out, oh, ow)
+
+
+def _conv_forward(x, p):
+    _conv_check(x, p)
+    cols, oh, ow = _im2col(x, p.kernel, p.stride, p.pad)
+    return _conv_gemm(cols, p, x.shape[0], oh, ow), cols
 
 
 def _conv_backward(x, p, grad_out, cols):
@@ -243,8 +247,11 @@ def _bn_forward(x, p, group=None):
         p.running_mean += (1.0 - BN_MOMENTUM) * mu[0]
         p.running_var *= BN_MOMENTUM
         p.running_var += (1.0 - BN_MOMENTUM) * var[0]
-    y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
-    return y, (mu, istd, xhat)
+    return _bn_affine(xhat, p), (mu, istd, xhat)
+
+
+def _bn_affine(xhat, p):
+    return p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
 
 
 def _bn_backward(x, p, grad_out, cache):
@@ -369,6 +376,14 @@ class Conv2dLayer:
         y, cols = _conv_forward(x.data, self.params)
         return Tensor4(y), (x, cols)
 
+    def rerun(self, ctx):
+        """forward's output array on its recorded input, from the recorded
+        columns and the current weight and bias: no im2col."""
+        x, cols = ctx
+        n, _, h, w = x.dims
+        p = self.params
+        return _conv_gemm(cols, p, n, *_conv_out_hw(h, w, p.kernel, p.stride, p.pad))
+
     def backward(self, ctx, grad_out):
         x, cols = ctx
         grad_in, gw, gb = _conv_backward(x.data, self.params, grad_out, cols)
@@ -384,6 +399,13 @@ class BatchNormLayer:
     def forward(self, x):
         y, cache = _bn_forward(x.data, self.params, x.group)
         return Tensor4(y), (x, cache)
+
+    def rerun(self, ctx):
+        """forward's output array on its recorded input, from the recorded
+        normalized input (so with the statistics that forward used) and
+        the current gamma and beta; no running statistic moves."""
+        _, (_, _, xhat) = ctx
+        return _bn_affine(xhat, self.params)
 
     def backward(self, ctx, grad_out):
         x, cache = ctx
@@ -464,12 +486,17 @@ class Tape:
         """Re-run the steps that depend on arr for a stack of P probes,
         probe p setting arr.flat[i] = v for (i, v) = probes[p].
 
-        A step in `readers` (the steps that read arr) runs once per probe
-        on that probe's n-sample slice of its inputs, and its outputs are
-        stacked into P*n samples.  A later step that reads a stacked output
-        runs once on the stack, its unchanged operands repeated P times;
-        the stack's `group` is n, so training batchnorm normalizes each
-        probe on its own.  Other steps keep their recorded outputs.
+        An input tensor of the pass that holds arr (the image) starts as
+        a stack of its P perturbed copies.  A step in `readers` that reads
+        arr through its layer runs once per probe: by `layer.rerun` from
+        its recorded context when its inputs are the recorded ones (no
+        im2col, no batchnorm statistic moves), else by `forward` on the
+        probe's n-sample slice of its inputs (a layer that hides its
+        params, or a shared one whose input is already stacked).  A step
+        that reads a stacked output runs once on the stack, its unchanged
+        operands repeated P times; every stack's `group` is n, so training
+        batchnorm normalizes each probe on its own.  Other steps keep
+        their recorded outputs.
 
         Returns {recorded output: stacked output} for the outputs in
         `keep`; any other stacked output is dropped after its last reader.
@@ -479,7 +506,14 @@ class Tape:
             for t in (*xs, y):
                 last[t] = s
         keep = set(keep)
+        P = len(probes)
         stacked = {}
+        for t in last:
+            if t.data is arr:
+                index, values = zip(*probes)
+                stacked[t] = Tensor4(np.tile(arr, (P, 1, 1, 1)))
+                stacked[t].data.reshape(P, -1)[range(P), index] = values
+                stacked[t].group = len(arr)
 
         def probe_slice(t, p):
             st = stacked.get(t)
@@ -488,21 +522,23 @@ class Tape:
             n = len(t.data)
             return Tensor4(st.data[p * n:(p + 1) * n])
 
-        for s, (layer, xs, y, _) in enumerate(self.steps):
-            if s in readers:
-                outs = []
+        for s, (layer, xs, y, ctx) in enumerate(self.steps):
+            is_stacked = any(x in stacked for x in xs)
+            if s in readers and not any(x.data is arr for x in xs):
+                rerun = None if is_stacked else getattr(layer, "rerun", None)
+                out = np.empty((P, *y.dims))
                 for p, (i, v) in enumerate(probes):
                     orig = arr.flat[i]
                     arr.flat[i] = v
                     try:
-                        out, _ = layer.forward(*(probe_slice(x, p) for x in xs))
+                        out[p] = rerun(ctx) if rerun else layer.forward(
+                            *(probe_slice(x, p) for x in xs))[0].data
                     finally:
                         arr.flat[i] = orig
-                    outs.append(out.data)
-                out = Tensor4(np.concatenate(outs))
-            elif any(x in stacked for x in xs):
+                out = Tensor4(out.reshape(-1, *y.dims[1:]))
+            elif is_stacked:
                 out, _ = layer.forward(*(
-                    stacked[x] if x in stacked else Tensor4(np.tile(x.data, (len(probes), 1, 1, 1)))
+                    stacked[x] if x in stacked else Tensor4(np.tile(x.data, (P, 1, 1, 1)))
                     for x in xs))
             else:
                 continue

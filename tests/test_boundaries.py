@@ -89,6 +89,16 @@ CASES = {
     "spec image size zero": (
         lambda: BackboneSpec(image_size=(0, 0)),
         ConfigError, "BackboneSpec.image_size: expected positive integers, got (0, 0)"),
+    "spec image size a scalar": (
+        lambda: BackboneSpec(image_size=64),
+        ConfigError, "BackboneSpec.image_size: expected a sequence of positive integers, got 64"),
+    "spec stage channels a scalar": (
+        lambda: BackboneSpec(num_stages=1, stage_channels=8),
+        ConfigError,
+        "BackboneSpec.stage_channels: expected a sequence of positive integers, got 8"),
+    "spec stage count a sequence": (
+        lambda: BackboneSpec(num_stages=(5,)),
+        ConfigError, "BackboneSpec.num_stages: expected one positive integer, got (5,)"),
     "spec image size of 3 entries": (
         lambda: BackboneSpec(image_size=(64, 64, 64)),
         ConfigError, "image_size must have 2 entries, got (64, 64, 64)"),

@@ -36,7 +36,7 @@ from cbnet import (
     set_mode,
     state_dict,
 )
-from cbnet import composite
+from cbnet import composite, engine
 from cbnet.composite import _PROBE_CHUNK, _readers
 
 SMALL = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
@@ -369,6 +369,20 @@ def test_accelerated_zero_composites_reduce_to_single():
         assert np.array_equal(lvl.data, out.data)
 
 
+def test_zeroing_shared_accelerated_slc_raises_only_where_it_adds_directly():
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.SLC,
+                                  share_weights=True, accelerated=True, spec=TOY_SPEC), 0)
+    assert direct_add_keys(net.config) == [] and not net.connections
+    before = [value.copy() for _, value in net.state()]
+    force_zero_composites(net)  # nothing reads the assistant: there is nothing to zero
+    assert all(np.array_equal(a, value) for a, (_, value) in zip(before, net.state()))
+    cfg = CBNetConfig(num_backbones=2, style=CompositeStyle.SLC, share_weights=True,
+                      accelerated=True, spec=BackboneSpec(num_stages=5))
+    assert direct_add_keys(cfg) == [(2, 4), (2, 5)]
+    with pytest.raises(ConfigError, match="cannot zero slc assistants under weight sharing"):
+        force_zero_composites(build_cbnet(cfg, 0))
+
+
 def test_accelerated_requires_two_backbones():
     with pytest.raises(ConfigError):
         CBNetConfig(num_backbones=3, accelerated=True, spec=BackboneSpec())
@@ -588,13 +602,18 @@ def test_forward_step_order_is_pinned(cfg):
 
 
 def _perturbed_arrays(net, image):
-    """The image, a lead last-stage conv weight, a composite connection
-    weight (when there is one) and, under sharing, a shared BN gamma."""
+    """The image, a lead last-stage conv weight and conv bias, a composite
+    connection weight and BN beta (when there is a connection, else the
+    lead's last BN beta) and, under sharing, a shared BN gamma."""
     last = net.backbones[-1].stage(net.config.spec.num_stages)
-    arrays = [("image", image.data), ("lead conv", last.conv1.params.weight.data)]
+    arrays = [("image", image.data), ("lead conv", last.conv1.params.weight.data),
+              ("lead conv bias", last.conv2.params.bias)]
     if net.connections:
         conn = list(net.connections.values())[-1]
         arrays.append(("connection", conn.conv.params.weight.data))
+        arrays.append(("connection beta", conn.bn.params.beta))
+    else:
+        arrays.append(("lead beta", last.bn2.params.beta))
     if net.config.share_weights:
         arrays.append(("shared gamma", last.bn1.params.gamma))
     return arrays
@@ -625,8 +644,46 @@ def test_replay_from_first_reader_equals_fresh_forward(cfg):
             replayed = [stacked[lvl].data[p * n:(p + 1) * n] if lvl in stacked else lvl.data
                         for lvl in pyramid.levels]
             assert all(np.array_equal(a, b) for a, b in zip(replayed, expected)), (what, p)
-            assert not all(np.array_equal(lvl.data, b)
-                           for lvl, b in zip(pyramid.levels, expected)), (what, p)
+            if what != "lead conv bias":  # training batchnorm takes a conv bias back out
+                assert not all(np.array_equal(lvl.data, b)
+                               for lvl, b in zip(pyramid.levels, expected)), (what, p)
+
+
+def test_replay_reruns_parameter_readers_from_their_recorded_context(monkeypatch):
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.DHLC,
+                                  spec=TOY_SPEC), 31)
+    set_mode(net, "training")
+    tape = Tape()
+    pyramid = net.forward(helpers.random_image(TOY_SPEC, 32), tape)
+    conv = max(s for s, (layer, _, _, _) in enumerate(tape.steps)
+               if isinstance(layer, engine.Conv2dLayer))
+    bn = min(s for s, (layer, _, _, _) in enumerate(tape.steps)
+             if isinstance(layer, engine.BatchNormLayer))
+    # the last conv's weight and bias: no conv runs after their reader, so
+    # no columns are built; then the first batchnorm's gamma: a training
+    # batchnorm reruns without folding its statistics
+    conv_p, bn_p = tape.steps[conv][0].params, tape.steps[bn][0].params
+    cases = []
+    for s, arr in ((conv, conv_p.weight.data), (conv, conv_p.bias), (bn, bn_p.gamma)):
+        layer, xs, y, _ = tape.steps[s]
+        probes = [(i, arr.flat[i] + d) for i in range(min(arr.size, _PROBE_CHUNK))
+                  for d in (1e-5, -1e-5)]
+        expected = []
+        for i, v in probes:  # a fresh forward of the reader per probe
+            orig, arr.flat[i] = arr.flat[i], v
+            expected.append(layer.forward(*xs)[0].data)
+            arr.flat[i] = orig
+        cases.append((arr, probes, y, np.concatenate(expected)))
+    stats = [(p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
+    im2col = engine._im2col
+    calls = []
+    monkeypatch.setattr(engine, "_im2col", lambda *a: calls.append(a) or im2col(*a))
+    for arr, probes, y, expected in cases:
+        stacked = tape.replay(arr, probes, _readers(tape.steps, arr), [*pyramid.levels, y])
+        assert np.array_equal(stacked[y].data, expected)
+        assert calls == [] or arr is bn_p.gamma
+    for p, (mean, var) in zip(net.bn_params(), stats):
+        assert np.array_equal(p.running_mean, mean) and np.array_equal(p.running_var, var)
 
 
 GRADCHECK_CONFIGS = [

@@ -22,7 +22,7 @@ from cbnet import (
     upsample_nearest,
     upsample_nearest_backward,
 )
-from cbnet.engine import BN_MOMENTUM
+from cbnet.engine import BN_MOMENTUM, BatchNormLayer, Conv2dLayer
 
 
 def t4(values):
@@ -350,3 +350,38 @@ def test_gradcheck_restores_the_probed_element_when_loss_fn_raises():
 def test_tensor4_requires_four_dims():
     with pytest.raises(ShapeError):
         Tensor4(np.zeros((2, 3)))
+
+
+# -- a layer's rerun from its recorded context --------------------------------
+
+
+@pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)],
+                         ids=["3x3", "3x3-stride-2", "1x1"])
+def test_conv_rerun_equals_forward_with_the_current_params(k, stride, pad):
+    rng = np.random.default_rng(12)
+    x = Tensor4(rng.standard_normal((2, 3, 6, 6)))
+    layer = Conv2dLayer(ConvParams(rng.standard_normal((4, 3, k, k)), rng.standard_normal(4),
+                                   stride=stride, pad=pad))
+    y, ctx = layer.forward(x)
+    assert np.array_equal(layer.rerun(ctx), y.data)
+    layer.params.weight.data.flat[5] += 0.25
+    layer.params.bias[1] -= 0.5
+    assert np.array_equal(layer.rerun(ctx), layer.forward(x)[0].data)
+
+
+@pytest.mark.parametrize("mode", ["training", "inference"])
+def test_bn_rerun_equals_forward_with_the_current_params(mode):
+    rng = np.random.default_rng(13)
+    x = Tensor4(rng.standard_normal((2, 3, 4, 4)) * 2.0 + 1.0)
+    layer = BatchNormLayer(BatchNormParams(
+        rng.uniform(0.5, 1.5, 3), rng.standard_normal(3), rng.standard_normal(3),
+        rng.uniform(0.5, 2.0, 3), mode=mode))
+    y, ctx = layer.forward(x)
+    stats = (layer.params.running_mean.copy(), layer.params.running_var.copy())
+    assert np.array_equal(layer.rerun(ctx), y.data)
+    layer.params.gamma[0] += 0.25
+    layer.params.beta[2] -= 0.5
+    rerun = layer.rerun(ctx)
+    assert np.array_equal(layer.params.running_mean, stats[0])
+    assert np.array_equal(layer.params.running_var, stats[1])
+    assert np.array_equal(rerun, layer.forward(x)[0].data)
