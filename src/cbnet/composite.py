@@ -396,17 +396,26 @@ class WeightsMismatch(ValueError):
 _PROBE_CHUNK = 32  # elements probed per stacked replay, two probes each
 
 
-def _readers(steps, arr):
-    """Indices of the steps that read arr, as an input tensor or through
-    their layer's parameters; every step when none is known to (a wrapping
-    layer may hide its parameters)."""
-    found = set()
+def _reader_map(steps):
+    """id(array) -> indices of the steps that read it, as an input tensor
+    or through their layer's parameters, in one pass over the steps."""
+    found = {}
     for s, (layer, xs, _, _) in enumerate(steps):
         params = getattr(layer, "params", None)
-        if any(x.data is arr for x in xs) or (
-                params is not None and any(v is arr for _, v, _ in _learnables(params))):
-            found.add(s)
-    return found or set(range(len(steps)))
+        arrays = [x.data for x in xs]
+        if params is not None:
+            arrays += [v for _, v, _ in _learnables(params)]
+        for a in arrays:
+            found.setdefault(id(a), set()).add(s)
+    return found
+
+
+def _readers(steps, arr, known=None):
+    """Indices of the steps that read arr, looked up in `known` (steps'
+    `_reader_map`, built here when None); every step when none is known
+    to (a wrapping layer may hide its parameters)."""
+    known = _reader_map(steps) if known is None else known
+    return known.get(id(arr)) or set(range(len(steps)))
 
 
 def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
@@ -445,9 +454,10 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
             checks.append((image.data, tape.grads[image]))
             recorded = [(c * lvl.data).sum() for c, lvl in zip(coeffs, pyramid.levels)]
 
+            known = _reader_map(tape.steps)  # the steps keep every mapped array alive
             worst = 0.0
             for arr, analytic in checks:
-                readers = _readers(tape.steps, arr)
+                readers = _readers(tape.steps, arr, known)
                 flat = analytic.reshape(-1)
                 for start in range(0, arr.size, _PROBE_CHUNK):
                     elems = range(start, min(start + _PROBE_CHUNK, arr.size))

@@ -5,7 +5,11 @@ inputs produce bit-identical results on every run.  There is no general
 autograd; networks are static and record their op sequence on a `Tape`
 during the forward pass, which is then walked in reverse for backprop.
 Tensors are plain values with no shared mutable state, so independent
-passes on disjoint model copies can run in parallel.
+passes on disjoint model copies can run in parallel.  Inference-mode
+passes on one model may run concurrently too, each on its own tape: they
+only read the parameters and running statistics.  Training-mode passes on
+one model may not, since each folds its batch statistics into the running
+estimates.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ cross-entropy over cells plus class cross-entropy, unit weights.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,28 +258,73 @@ def metrics_from_predictions(pred_grids, true_grids, pred_labels, true_labels):
     return {"cell_f1": f1, "class_accuracy": hits / len(true_labels)}
 
 
+def _eval_workers():
+    """The most slices `evaluate` splits a chunk into: the CPUs this
+    process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _logits(net: CBNet, head: Head, samples):
+    """(objectness, class) logit arrays of `samples`, from forward-only
+    passes over up to `_eval_workers()` contiguous slices of them,
+    concatenated in slice order.
+
+    The caller's thread runs the first slice and one thread per other
+    slice runs the rest; every thread is joined before this returns or
+    raises, and the first error in slice order is raised unchanged.  The
+    net must be in inference mode: a forward then mutates nothing, and a
+    sample's logits do not depend on the samples that share its batch
+    (batchnorm reads its running statistics, and convs run one gemm per
+    sample), so the split changes no bit.
+    """
+    w = min(_eval_workers(), len(samples))
+    bounds = [len(samples) * i // w for i in range(w + 1)]
+    outs = [None] * w
+
+    def run(i):
+        try:
+            images, _, _ = _batch(samples[bounds[i]:bounds[i + 1]])
+            tape = Tape()
+            tape.recording = False
+            objectness, logits = head.forward(tape, net.forward(images, tape))
+            outs[i] = objectness.data, logits.data
+        except BaseException as exc:  # raised below, once every thread is joined
+            outs[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, w)]
+    try:
+        for t in threads:
+            t.start()
+        run(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    for out in outs:
+        if isinstance(out, BaseException):
+            raise out
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
+
+
 def evaluate(net: CBNet, head: Head, dataset, chunk=16) -> dict:
     """Inference-mode metrics, the mode scoped by `set_mode`: objectness
     thresholded at probability 0.5 (logit > 0), class by argmax with
-    first-index tie-break.  The net and head run on a tape that records
-    nothing, so a chunk keeps no activations or im2col buffers beyond the
-    ops that still need them."""
+    first-index tie-break.  Each chunk is split across the CPUs (see
+    `_logits`), and its slices run on tapes that record nothing, so a
+    chunk keeps no activations or im2col buffers beyond the ops that
+    still need them, and `chunk` bounds the samples in flight."""
     if not dataset:
         raise ConfigError("cannot evaluate on an empty dataset")
     if chunk < 1:
         raise ConfigError(f"evaluation chunk must be at least 1, got {chunk}")
-    pred_grids, true_grids, pred_labels, true_labels = [], [], [], []
+    pred_grids, pred_labels = [], []
     with set_mode(net, "inference"):
         for start in range(0, len(dataset), chunk):
-            part = dataset[start:start + chunk]
-            images, grids, labels = _batch(part)
-            tape = Tape()
-            tape.recording = False
-            pyramid = net.forward(images, tape)
-            objectness, logits = head.forward(tape, pyramid)
-            pred_grids.append(objectness.data[:, 0] > 0.0)
-            true_grids.append(np.asarray(grids, dtype=bool))
-            pred_labels += list(np.argmax(logits.data.reshape(len(part), -1), axis=1))
-            true_labels += labels
-    return metrics_from_predictions(
-        np.concatenate(pred_grids), np.concatenate(true_grids), pred_labels, true_labels)
+            objectness, logits = _logits(net, head, dataset[start:start + chunk])
+            pred_grids.append(objectness[:, 0] > 0.0)
+            pred_labels += list(np.argmax(logits.reshape(len(logits), -1), axis=1))
+    return metrics_from_predictions(np.concatenate(pred_grids), [s.grid for s in dataset],
+                                    pred_labels, [s.label for s in dataset])

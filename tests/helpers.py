@@ -8,6 +8,7 @@ through the graph machinery under test.
 import numpy as np
 
 from cbnet import (
+    CBNetConfig,
     CompositeStyle,
     Tape,
     Tensor4,
@@ -20,6 +21,26 @@ from cbnet import (
     set_mode,
     upsample_nearest,
 )
+
+
+# -- config space ------------------------------------------------------------
+
+
+def config_sweep(spec):
+    """Every config at `spec`: K in 1..3 x style x sharing, and accelerated
+    where it is defined (K = 2)."""
+    for k in (1, 2, 3):
+        for style in CompositeStyle:
+            for share in (False, True):
+                for accelerated in ((False, True) if k == 2 else (False,)):
+                    yield CBNetConfig(num_backbones=k, style=style, share_weights=share,
+                                      accelerated=accelerated, spec=spec)
+
+
+def cfg_id(cfg):
+    return (f"{cfg.num_backbones}-{cfg.style.value}"
+            f"{'-shared' if cfg.share_weights else ''}"
+            f"{'-accelerated' if cfg.accelerated else ''}")
 
 
 # -- parameter counting ------------------------------------------------------

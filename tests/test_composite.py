@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import cfg_id as _cfg_id
 from cbnet import (
     BackboneSpec,
     BatchNormParams,
@@ -528,18 +529,7 @@ def test_cbnw_layout_is_pinned(tmp_path, kw, want):
 
 
 def _toy_configs():
-    for k in (1, 2, 3):
-        for style in CompositeStyle:
-            for share in (False, True):
-                for accelerated in ((False, True) if k == 2 else (False,)):
-                    yield CBNetConfig(num_backbones=k, style=style, share_weights=share,
-                                      accelerated=accelerated, spec=TOY_SPEC)
-
-
-def _cfg_id(cfg):
-    return (f"{cfg.num_backbones}-{cfg.style.value}"
-            f"{'-shared' if cfg.share_weights else ''}"
-            f"{'-accelerated' if cfg.accelerated else ''}")
+    return helpers.config_sweep(TOY_SPEC)
 
 
 # Under weight sharing, running statistics fold and parameter gradients

@@ -4,8 +4,13 @@ run every layer on a tape that records nothing.
 Their outputs must equal a recording forward bit for bit, the tape must
 hold no step afterwards, and every op must still go through `Tape.run`
 on a tape made by calling the module's `Tape` name, which is how the
-benchmark's op tracer sees them.
+benchmark's op tracer sees them.  `evaluate` splits each chunk into
+slices that run on threads; that must change no bit either.
 """
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +21,9 @@ from cbnet import (
     BackboneSpec,
     CBNetConfig,
     CompositeStyle,
+    ShapeError,
     Tape,
+    Tensor4,
     backbone_forward,
     build_backbone,
     build_cbnet,
@@ -125,13 +132,133 @@ def test_tracer_sees_every_op_of_cbnet_forward(monkeypatch):
     assert tapes[0].steps == [] and not tapes[0].recording
 
 
-def test_tracer_sees_every_op_of_evaluate(monkeypatch):
+def _tracer_counts_of_evaluate(monkeypatch, workers):
+    """(ops recorded by one forward of one sample, the tapes evaluate made)
+    for 5 samples in chunks of 2 split across `workers` slices."""
     cfg = CBNetConfig(spec=TASK_SPEC, **CONFIGS["accelerated"])
     net, head = build_cbnet(cfg, 13), build_head(cfg.spec, 14)
     data = gen_dataset(15, 5, 32)
     recorded = Tape()
     head.forward(recorded, net.forward(data[0].image, recorded))
     tapes = _counting_factory(monkeypatch, task)
+    monkeypatch.setattr(task, "_eval_workers", lambda: workers)
     evaluate(net, head, data, chunk=2)
-    assert sum(t.ops for t in tapes) == 3 * len(recorded.steps)
     assert all(t.steps == [] and not t.recording for t in tapes)
+    return len(recorded.steps), tapes
+
+
+def test_tracer_sees_every_op_of_evaluate(monkeypatch):
+    steps, tapes = _tracer_counts_of_evaluate(monkeypatch, 1)
+    assert sum(t.ops for t in tapes) == 3 * steps
+
+
+def test_tracer_sees_every_op_of_evaluate_split_across_two_workers(monkeypatch):
+    # chunks of 2, 2 and 1 samples split into 2, 2 and 1 one-sample slices
+    steps, tapes = _tracer_counts_of_evaluate(monkeypatch, 2)
+    assert [t.ops for t in tapes] == [steps] * 5
+
+
+# -- splitting a batch: the property `evaluate`'s threads rely on ------------------
+
+
+def _randomized(net, seed):
+    """net with every tensor redrawn (running variances in [0.5, 2]), in
+    inference mode, so batchnorm's running statistics shape the output."""
+    rng = np.random.default_rng(seed)
+    for name, value in net.state():
+        value[:] = (rng.uniform(0.5, 2.0, value.shape) if name.endswith("running_var")
+                    else rng.standard_normal(value.shape))
+    set_mode(net, "inference")
+    return net
+
+
+SPLITS = [(0, 3, 7), (0, 1, 7), (0, 2, 4, 7), tuple(range(8))]
+
+
+@pytest.mark.parametrize("cfg", [*helpers.config_sweep(TOY_SPEC), *helpers.config_sweep(TASK_SPEC)],
+                         ids=lambda cfg: f"{cfg.spec.image_size[0]}px-{helpers.cfg_id(cfg)}")
+def test_inference_forward_of_a_batch_equals_forwards_of_its_slices(cfg):
+    net = _randomized(build_cbnet(cfg, 16), 17)
+    rng = np.random.default_rng(18)
+    images = rng.uniform(0.0, 1.0, (7, cfg.spec.in_channels) + cfg.spec.image_size)
+    whole = cbnet_forward(net, Tensor4(images)).levels
+    for bounds in SPLITS:
+        parts = [cbnet_forward(net, Tensor4(images[a:b])).levels
+                 for a, b in zip(bounds, bounds[1:])]
+        for l, level in enumerate(whole):
+            assert np.array_equal(level.data, np.concatenate([p[l].data for p in parts])), \
+                (bounds, l)
+
+
+# -- evaluate under splitting ----------------------------------------------------
+
+
+def _eval_setup(kw=CONFIGS["accelerated"], n=7):
+    cfg = CBNetConfig(spec=TASK_SPEC, **kw)
+    net = _randomized(build_cbnet(cfg, 19), 20)
+    return net, _randomized(build_head(cfg.spec, 21), 22), gen_dataset(23, n, 32)
+
+
+def test_eval_workers_are_the_cpus_this_process_may_use(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert task._eval_workers() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert task._eval_workers() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
+def test_evaluate_metrics_do_not_depend_on_workers_or_chunk(monkeypatch, kw):
+    net, head, data = _eval_setup(kw)
+    got = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+        for chunk in (1, 3, 16, len(data)):
+            got[workers, chunk] = evaluate(net, head, data, chunk=chunk)
+    assert all(m == got[1, len(data)] for m in got.values()), got
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_split_logits_equal_a_serial_forward_bit_for_bit(monkeypatch, workers):
+    net, head, data = _eval_setup(n=9)
+    tape = Tape()
+    objectness, logits = head.forward(tape, net.forward(task._batch(data)[0], tape))
+    # the comparison can fail: samples differ in their logits
+    assert len({row.tobytes() for row in logits.data}) == len(data)
+    monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        got = task._logits(net, head, data)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got[0], objectness.data) and np.array_equal(got[1], logits.data)
+
+
+def _wrong_size(data, *at):
+    """data with sample i redrawn at 32 + 4 * (k + 1) pixels for the k-th i in `at`."""
+    data = list(data)
+    for k, i in enumerate(at):
+        data[i] = task.render_sample(100 + i, 32 + 4 * (k + 1))[0]
+    return data
+
+
+@pytest.mark.parametrize("workers, chunk, at", [
+    (2, 2, (3,)),        # alone in the second slice of the second chunk
+    (4, 4, (3,)),        # alone in the last of four slices
+    (3, 3, (1, 2)),      # two failing slices: the first in slice order is raised
+])
+def test_evaluate_raises_a_slice_error_as_the_serial_path_does(monkeypatch, workers, chunk, at):
+    net, head, data = _eval_setup(n=4)
+    data = _wrong_size(data, *at)
+    monkeypatch.setattr(task, "_eval_workers", lambda: 1)
+    with pytest.raises(ShapeError) as serial:
+        evaluate(net, head, data, chunk=1)
+    set_mode(net, "training")
+    before = [p.mode for p in net.bn_params()]
+    threads = threading.active_count()
+    monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+    with pytest.raises(ShapeError) as split:
+        evaluate(net, head, data, chunk=chunk)
+    assert str(split.value) == str(serial.value)
+    assert [p.mode for p in net.bn_params()] == before
+    assert threading.active_count() == threads
