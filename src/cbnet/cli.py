@@ -90,18 +90,17 @@ def cmd_summarize(args):
     net = build_cbnet(cfg, sub_seed(args.seed, NET_SEED))
     print(f"config: k={cfg.num_backbones} style={cfg.style.value} "
           f"share_weights={cfg.share_weights} accelerated={cfg.accelerated}")
-    for k, bb in enumerate(net.backbones, 1):
-        count = param_count(bb)
-        stages = f"stages {bb.first_stage}..{cfg.spec.num_stages}"
-        print(f"backbone b{k}: {stages}, params {count}")
+    children = net.children()  # the backbones, then the connections
+    for name, bb in children[:len(net.backbones)]:
+        print(f"backbone {name}: stages {bb.first_stage}..{cfg.spec.num_stages}, "
+              f"params {param_count(bb)}")
     print(f"composite connections: {len(net.connections)}")
     comp_total = 0
-    for key, conn in net.connections.items():
+    for name, conn in children[len(net.backbones):]:
         count = param_count(conn)
         comp_total += count
         th, tw = conn.target_hw
-        print(f"  g.{'.'.join(str(p) for p in key)}: "
-              f"{conn.conv.params.c_in}ch -> {conn.conv.params.c_out}ch "
+        print(f"  {name}: {conn.conv.params.c_in}ch -> {conn.conv.params.c_out}ch "
               f"target {th}x{tw}, params {count}")
     adds = direct_add_keys(cfg)
     if adds:

@@ -393,9 +393,6 @@ class WeightsMismatch(ValueError):
 # -- verification ----------------------------------------------------------------
 
 
-_PROBE_CHUNK = 32  # elements probed per stacked replay, two probes each
-
-
 def _reader_map(steps):
     """id(array) -> indices of the steps that read it, as an input tensor
     or through their layer's parameters, in one pass over the steps."""
@@ -410,14 +407,6 @@ def _reader_map(steps):
     return found
 
 
-def _readers(steps, arr, known=None):
-    """Indices of the steps that read arr, looked up in `known` (steps'
-    `_reader_map`, built here when None); every step when none is known
-    to (a wrapping layer may hide its parameters)."""
-    known = _reader_map(steps) if known is None else known
-    return known.get(id(arr)) or set(range(len(steps)))
-
-
 def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     """Finite-difference check of the whole model.
 
@@ -428,17 +417,17 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     statistics into the running stats, and so does a shared layer's
     per-probe forward, so they are snapshotted and restored.
 
-    Probes (+step, then -step, per element) replay the recorded tape
-    as one stack of up to _PROBE_CHUNK elements (`Tape.replay`): the stem
-    runs once on a stack of perturbed images, and a conv or batchnorm
-    that reads a probed parameter reruns per probe from its recorded
-    columns or normalized input (its forward runs per probe only if it
-    hides its params or is shared and an earlier reader stacked its
-    input).  Ops that do not depend on the perturbed array keep their
-    recorded outputs, which is exactly what a fresh forward would
-    compute, since training-mode batchnorm outputs do not depend on the
-    running stats.  The check stops after the first chunk with a
-    non-finite probe loss.
+    The probes, the error and the stop rule are `engine._worst_error`'s,
+    as in `engine.gradcheck`: inf after the first chunk with a non-finite
+    probe loss.  Each chunk's probes replay the recorded tape as one
+    stack (`Tape.replay`): the stem runs once on a stack of perturbed
+    images, and a conv or batchnorm that reads a probed parameter reruns
+    per probe from its recorded columns or normalized input (its forward
+    runs per probe only if it hides its params or is shared and an
+    earlier reader stacked its input).  Ops that do not depend on the
+    perturbed array keep their recorded outputs, which is exactly what a
+    fresh forward would compute, since training-mode batchnorm outputs do
+    not depend on the running stats.
     """
     snapshot = [(p, p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
     rng = np.random.default_rng(loss_seed)
@@ -455,27 +444,19 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
             recorded = [(c * lvl.data).sum() for c, lvl in zip(coeffs, pyramid.levels)]
 
             known = _reader_map(tape.steps)  # the steps keep every mapped array alive
-            worst = 0.0
-            for arr, analytic in checks:
-                readers = _readers(tape.steps, arr, known)
-                flat = analytic.reshape(-1)
-                for start in range(0, arr.size, _PROBE_CHUNK):
-                    elems = range(start, min(start + _PROBE_CHUNK, arr.size))
-                    probes = [(i, v) for i in elems for v in (
-                        arr.flat[i] + engine._FD_STEP, arr.flat[i] - engine._FD_STEP)]
-                    stacked = tape.replay(arr, probes, readers, pyramid.levels)
-                    # per probe, the same sums as a fresh forward's projection
-                    terms = [(c.reshape(-1) * stacked[lvl].data.reshape(len(probes), -1))
-                             .sum(axis=1) if lvl in stacked else term
-                             for c, lvl, term in zip(coeffs, pyramid.levels, recorded)]
-                    losses = np.broadcast_to(sum(terms), len(probes))
-                    for j, i in enumerate(elems):
-                        err = engine._central_error(flat[i], losses[2 * j], losses[2 * j + 1])
-                        if err == float("inf"):
-                            return err
-                        if err > worst:
-                            worst = float(err)
-            return worst
+
+            def losses(arr, probes):
+                # no step maps arr when the layers reading it hide their
+                # params (a wrapping layer may): then any step may read it
+                readers = known.get(id(arr)) or set(range(len(tape.steps)))
+                stacked = tape.replay(arr, probes, readers, pyramid.levels)
+                # per probe, the same sums as a fresh forward's projection
+                terms = [(c.reshape(-1) * stacked[lvl].data.reshape(len(probes), -1))
+                         .sum(axis=1) if lvl in stacked else term
+                         for c, lvl, term in zip(coeffs, pyramid.levels, recorded)]
+                return np.broadcast_to(sum(terms), len(probes))
+
+            return engine._worst_error(checks, losses)
         finally:
             for _, _, grad in net.unique_learnables():
                 grad[:] = 0.0

@@ -19,6 +19,7 @@ import numpy as np
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 _FD_STEP = 1e-5  # central-difference step of the gradient checks
+_PROBE_CHUNK = 32  # elements a gradient check probes per `losses` call, two probes each
 
 
 class ShapeError(ValueError):
@@ -571,41 +572,47 @@ class Tape:
         self.grads = grads
 
 
-def _central_error(analytic, up, down):
-    """Relative error of a central difference against the analytic value,
-    with a unit absolute floor so near-zero gradients compare absolutely;
-    inf when either probe loss is non-finite."""
-    if not (np.isfinite(up) and np.isfinite(down)):
-        return float("inf")
-    numeric = (up - down) / (2.0 * _FD_STEP)
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
+def _worst_error(checks, losses):
+    """The probe, score and stop loop of both gradient checks.
 
-
-def gradcheck(loss_fn, checks):
-    """Worst disagreement between analytic gradients and central differences.
-
-    loss_fn() re-evaluates the scalar loss from the checked arrays' current
-    contents; checks is a sequence of (array, analytic_gradient) pairs, each
-    array perturbed element by element, _FD_STEP either way.  The error is
-    `_central_error`'s.
-    Zero checks give 0.0 by convention; a non-finite probe loss yields inf
-    instead of raising.  If loss_fn raises, the probed element is restored.
+    checks holds (array, analytic gradient) pairs.  Each array is probed in
+    element order, _PROBE_CHUNK elements per losses(arr, probes) call, which
+    returns the loss for each (i, v) probe, arr.flat[i] set to v, and leaves
+    arr as it found it; element i's probes are its value +_FD_STEP, then
+    -_FD_STEP.  Returns the worst relative error, with a unit floor so
+    near-zero gradients compare absolutely: 0.0 for no checks, inf after the
+    first chunk that holds a non-finite probe loss.
     """
     worst = 0.0
     for arr, analytic in checks:
         flat = np.asarray(analytic, dtype=np.float64).reshape(-1)
-        for i in range(arr.size):
-            orig = arr.flat[i]
+        for start in range(0, arr.size, _PROBE_CHUNK):
+            elems = range(start, min(start + _PROBE_CHUNK, arr.size))
+            values = np.asarray(losses(arr, [(i, v) for i in elems for v in (
+                arr.flat[i] + _FD_STEP, arr.flat[i] - _FD_STEP)]))
+            if not np.isfinite(values).all():
+                return float("inf")
+            a, numeric = flat[elems], (values[0::2] - values[1::2]) / (2.0 * _FD_STEP)
+            err = abs(a - numeric) / np.maximum(np.maximum(abs(a), abs(numeric)), 1.0)
+            worst = float(max(worst, *err))  # max passes over a NaN error
+    return worst
+
+
+def gradcheck(loss_fn, checks):
+    """Worst disagreement between analytic gradients and central differences:
+    `_worst_error` of checks, (array, analytic gradient) pairs, calling
+    loss_fn() once per probe to re-evaluate the scalar loss from the checked
+    arrays' current contents.  A non-finite probe loss yields inf once the
+    rest of its chunk is probed; if loss_fn raises, the probed element is
+    restored."""
+    def losses(arr, probes):
+        out = []
+        for i, v in probes:
+            orig, arr.flat[i] = arr.flat[i], v
             try:
-                arr.flat[i] = orig + _FD_STEP
-                up = loss_fn()
-                arr.flat[i] = orig - _FD_STEP
-                down = loss_fn()
+                out.append(loss_fn())
             finally:
                 arr.flat[i] = orig
-            rel = _central_error(flat[i], up, down)
-            if rel == float("inf"):
-                return rel
-            if rel > worst:
-                worst = float(rel)
-    return worst
+        return out
+
+    return _worst_error(checks, losses)

@@ -167,6 +167,19 @@ class TrainLog:
     grad_seen: dict = field(default_factory=dict)
 
 
+def _check_dataset(dataset, spec: BackboneSpec, verb):
+    """Reject an empty dataset, and raise the spec's ShapeError, naming the
+    sample, for the first image the spec rejects, before `_batch` meets a
+    mixed-size batch as numpy's error."""
+    if not dataset:
+        raise ConfigError(f"cannot {verb} on an empty dataset")
+    for i, sample in enumerate(dataset):
+        try:
+            spec.check_image(sample.image)
+        except ShapeError as exc:
+            raise ShapeError(f"sample {i}: {exc}") from None
+
+
 def _batch(samples):
     images = Tensor4(np.concatenate([s.image.data for s in samples]))
     grids = np.stack([s.grid for s in samples])
@@ -180,10 +193,9 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     Batchnorm runs in training mode for the steps and in inference mode for
     the final metrics, each scoped by `set_mode`, so the caller's modes come
     back.  Aborts on a non-finite loss; rejects up front a run whose
-    one-sample batch meets a 1x1 last stage.
+    one-sample batch meets a 1x1 last stage, and an image the spec rejects.
     """
-    if not dataset:
-        raise ConfigError("cannot train on an empty dataset")
+    _check_dataset(dataset, net.config.spec, "train")
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     if not 0 <= lr < np.inf:
@@ -315,9 +327,9 @@ def evaluate(net: CBNet, head: Head, dataset, chunk=16) -> dict:
     first-index tie-break.  Each chunk is split across the CPUs (see
     `_logits`), and its slices run on tapes that record nothing, so a
     chunk keeps no activations or im2col buffers beyond the ops that
-    still need them, and `chunk` bounds the samples in flight."""
-    if not dataset:
-        raise ConfigError("cannot evaluate on an empty dataset")
+    still need them, and `chunk` bounds the samples in flight.  An image
+    the spec rejects raises its ShapeError, naming the sample, up front."""
+    _check_dataset(dataset, net.config.spec, "evaluate")
     if chunk < 1:
         raise ConfigError(f"evaluation chunk must be at least 1, got {chunk}")
     pred_grids, pred_labels = [], []

@@ -38,7 +38,8 @@ from cbnet import (
     state_dict,
 )
 from cbnet import composite, engine
-from cbnet.composite import _PROBE_CHUNK, _readers
+from cbnet.composite import _reader_map
+from cbnet.engine import _PROBE_CHUNK
 
 SMALL = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
                      image_size=(16, 16))
@@ -617,7 +618,7 @@ def test_replay_from_first_reader_equals_fresh_forward(cfg):
     for what, arr in _perturbed_arrays(net, image):
         tape = Tape()
         pyramid = net.forward(image, tape)
-        readers = _readers(tape.steps, arr)
+        readers = _reader_map(tape.steps)[id(arr)]
         assert (0 in readers) == (what == "image"), what
         assert len(readers) < len(tape.steps), what
         # in a 3x3 kernel, flat 4 and size - 5 are centre taps, which every output reads
@@ -669,7 +670,8 @@ def test_replay_reruns_parameter_readers_from_their_recorded_context(monkeypatch
     calls = []
     monkeypatch.setattr(engine, "_im2col", lambda *a: calls.append(a) or im2col(*a))
     for arr, probes, y, expected in cases:
-        stacked = tape.replay(arr, probes, _readers(tape.steps, arr), [*pyramid.levels, y])
+        stacked = tape.replay(arr, probes, _reader_map(tape.steps)[id(arr)],
+                              [*pyramid.levels, y])
         assert np.array_equal(stacked[y].data, expected)
         assert calls == [] or arr is bn_p.gamma
     for p, (mean, var) in zip(net.bn_params(), stats):
@@ -741,9 +743,15 @@ def test_model_gradcheck_is_unchanged_when_layers_hide_their_params(kw, monkeypa
     tape = _WrappingTape()
     net.forward(image, tape)
     _, value, _ = next(iter(net.unique_learnables()))
-    assert _readers(tape.steps, value) == set(range(len(tape.steps)))
+    assert id(value) not in _reader_map(tape.steps)  # model_gradcheck's fallback
     monkeypatch.setattr(composite, "Tape", _WrappingTape)
+    seen = []
+    replay = Tape.replay
+    monkeypatch.setattr(Tape, "replay", lambda tape, arr, probes, readers, keep: (
+        seen.append((arr, readers, len(tape.steps))) or replay(tape, arr, probes, readers, keep)))
     assert model_gradcheck(net, image, loss_seed=5) == want
+    fallback = [readers == set(range(n)) for arr, readers, n in seen if arr is value]
+    assert fallback and all(fallback)
 
 
 # -- gradients live only in the backward walk ----------------------------------------

@@ -22,7 +22,7 @@ from cbnet import (
     upsample_nearest,
     upsample_nearest_backward,
 )
-from cbnet.engine import BN_MOMENTUM, BatchNormLayer, Conv2dLayer
+from cbnet.engine import _FD_STEP, _PROBE_CHUNK, BN_MOMENTUM, BatchNormLayer, Conv2dLayer
 
 
 def t4(values):
@@ -345,6 +345,41 @@ def test_gradcheck_restores_the_probed_element_when_loss_fn_raises():
         gradcheck(loss_fn, [(arr, np.ones(4))])
     assert calls[2][1] != 1.0
     assert np.array_equal(arr, np.arange(4.0))
+
+
+def _recording_probes(arr, nan_at=None):
+    """A loss_fn that records (index, value) of the one element of arr that
+    differs from its original, and returns NaN while element nan_at does."""
+    orig = arr.copy()
+    probed = []
+
+    def loss_fn():
+        (i,), = np.nonzero(arr != orig)
+        probed.append((int(i), float(arr[i])))
+        return float("nan") if i == nan_at else float(arr @ arr)
+
+    return loss_fn, probed
+
+
+def test_gradcheck_probes_each_element_up_then_down_in_order():
+    arr = np.random.default_rng(5).standard_normal(70)  # three chunks of 32
+    assert arr.size > 2 * _PROBE_CHUNK
+    orig = arr.copy()
+    loss_fn, probed = _recording_probes(arr)
+    assert gradcheck(loss_fn, [(arr, 2.0 * arr)]) < 1e-6
+    assert probed == [(i, float(orig[i] + d)) for i in range(70) for d in (_FD_STEP, -_FD_STEP)]
+    assert arr.tobytes() == orig.tobytes()
+
+
+def test_gradcheck_stops_after_the_chunk_holding_a_non_finite_loss():
+    arr = np.random.default_rng(5).standard_normal(70)
+    orig = arr.copy()
+    loss_fn, probed = _recording_probes(arr, nan_at=40)
+    assert gradcheck(loss_fn, [(arr, 2.0 * arr)]) == float("inf")
+    assert arr.tobytes() == orig.tobytes()
+    stop = (40 // _PROBE_CHUNK + 1) * _PROBE_CHUNK  # the end of element 40's chunk
+    assert stop < 70
+    assert [i for i, _ in probed] == [i for i in range(stop) for _ in (0, 1)]
 
 
 def test_tensor4_requires_four_dims():

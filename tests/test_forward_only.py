@@ -31,9 +31,11 @@ from cbnet import (
     cbnet_forward,
     composite,
     evaluate,
+    force_zero_composites,
     gen_dataset,
     set_mode,
     task,
+    train,
 )
 
 # the synthetic task needs images of at least 24 pixels
@@ -261,4 +263,48 @@ def test_evaluate_raises_a_slice_error_as_the_serial_path_does(monkeypatch, work
         evaluate(net, head, data, chunk=chunk)
     assert str(split.value) == str(serial.value)
     assert [p.mode for p in net.bn_params()] == before
+    assert threading.active_count() == threads
+
+
+def test_a_mixed_size_dataset_raises_one_spec_error_naming_the_sample(monkeypatch):
+    net, head, data = _eval_setup(n=6)
+    data = _wrong_size(data, 3)  # 36x36 in a 32x32 dataset
+    set_mode(net, "training")
+    force_zero_composites(net)  # training backbones, inference connections
+    before = [p.mode for p in net.bn_params()]
+    state = [v.copy() for _, v in net.state()]
+    with pytest.raises(ShapeError) as want:
+        TASK_SPEC.check_image(data[3].image)
+    messages = set()
+    with pytest.raises(ShapeError) as err:
+        train(net, head, data, steps=2, lr=0.05, seed=0)
+    messages.add(str(err.value))
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+        with pytest.raises(ShapeError) as err:
+            evaluate(net, head, data)
+        messages.add(str(err.value))
+        assert [p.mode for p in net.bn_params()] == before
+    assert messages == {f"sample 3: {want.value}"}
+    assert all(np.array_equal(a, v) for a, (_, v) in zip(state, net.state()))
+
+
+def test_evaluate_raises_the_first_failing_slice_once_every_thread_is_joined(monkeypatch):
+    # images pass the up-front check, so make the slices from sample 2 on fail themselves
+    net, head, data = _eval_setup(n=6)
+    batch = task._batch
+
+    def failing(samples):
+        first = next(i for i, s in enumerate(data) if s is samples[0])
+        if first >= 2:
+            raise RuntimeError(f"slice from sample {first}")
+        return batch(samples)
+
+    monkeypatch.setattr(task, "_batch", failing)
+    monkeypatch.setattr(task, "_eval_workers", lambda: 3)  # slices from samples 0, 2, 4
+    set_mode(net, "training")
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^slice from sample 2$"):
+        evaluate(net, head, data, chunk=6)
+    assert all(p.mode == "training" for p in net.bn_params())
     assert threading.active_count() == threads
