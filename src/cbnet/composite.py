@@ -419,7 +419,10 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
 
     The probes, the error and the stop rule are `engine._worst_error`'s,
     as in `engine.gradcheck`: inf after the first chunk with a non-finite
-    probe loss.  Each chunk's probes replay the recorded tape as one
+    analytic element or probe loss.  Its chunks are spread over forked
+    workers, up to one per usable CPU: what a worker's replays change (a
+    shared layer's folded statistics) is lost with it, and this check
+    restores that anyway.  Each chunk's probes replay the recorded tape as one
     stack (`Tape.replay`): the stem runs once on a stack of perturbed
     images, and a conv or batchnorm that reads a probed parameter reruns
     per probe from its recorded columns or normalized input (its forward
@@ -456,7 +459,7 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
                          for c, lvl, term in zip(coeffs, pyramid.levels, recorded)]
                 return np.broadcast_to(sum(terms), len(probes))
 
-            return engine._worst_error(checks, losses)
+            return engine._worst_error(checks, losses, engine._usable_cpus())
         finally:
             for _, _, grad in net.unique_learnables():
                 grad[:] = 0.0

@@ -14,12 +14,16 @@ estimates.
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import numpy as np
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 _FD_STEP = 1e-5  # central-difference step of the gradient checks
 _PROBE_CHUNK = 32  # elements a gradient check probes per `losses` call, two probes each
+_MAX_PROBE_WORKERS = 4  # most processes one gradient check runs its chunks in
 
 
 class ShapeError(ValueError):
@@ -572,7 +576,22 @@ class Tape:
         self.grads = grads
 
 
-def _worst_error(checks, losses):
+def _usable_cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _probe_workers(cpus, chunks):
+    """How many processes a gradient check of `chunks` chunks runs in on
+    `cpus` CPUs: one per CPU, at most one per chunk, at most
+    _MAX_PROBE_WORKERS, at least one."""
+    return max(1, min(cpus, chunks, _MAX_PROBE_WORKERS))
+
+
+def _worst_error(checks, losses, cpus=1):
     """The probe, score and stop loop of both gradient checks.
 
     checks holds (array, analytic gradient) pairs.  Each array is probed in
@@ -580,22 +599,86 @@ def _worst_error(checks, losses):
     returns the loss for each (i, v) probe, arr.flat[i] set to v, and leaves
     arr as it found it; element i's probes are its value +_FD_STEP, then
     -_FD_STEP.  Returns the worst relative error, with a unit floor so
-    near-zero gradients compare absolutely: 0.0 for no checks, inf after the
-    first chunk that holds a non-finite probe loss.
+    near-zero gradients compare absolutely: 0.0 for no checks, inf after
+    the first chunk that holds a non-finite analytic element or probe loss.
+
+    The chunks, in check order, are dealt to W = `_probe_workers(cpus,
+    chunks)` stripes: worker w takes chunks w, w+W, ... in order and stops
+    after its first chunk that scores inf.  The calling process runs stripe
+    0, and a forked child each other stripe (or the caller, if the fork
+    fails).  A child sends its stripe's worst error, or the exception it
+    raised, back through a pipe and leaves by `os._exit`; every pipe is
+    read and every child reaped before this returns or raises.  The result
+    is the max over the stripes, so it does not depend on W.  A side effect
+    of `losses` in a child is lost with the child, so a caller whose
+    `losses` has one it needs passes cpus=1, which forks nothing.
     """
-    worst = 0.0
-    for arr, analytic in checks:
-        flat = np.asarray(analytic, dtype=np.float64).reshape(-1)
-        for start in range(0, arr.size, _PROBE_CHUNK):
-            elems = range(start, min(start + _PROBE_CHUNK, arr.size))
+    chunks = [(arr, flat, range(start, min(start + _PROBE_CHUNK, arr.size)))
+              for arr, analytic in checks
+              for flat in [np.asarray(analytic, dtype=np.float64).reshape(-1)]
+              for start in range(0, arr.size, _PROBE_CHUNK)]
+    w = _probe_workers(cpus if hasattr(os, "fork") else 1, len(chunks))
+
+    def stripe(k):
+        worst = 0.0
+        for arr, flat, elems in chunks[k::w]:
             values = np.asarray(losses(arr, [(i, v) for i in elems for v in (
                 arr.flat[i] + _FD_STEP, arr.flat[i] - _FD_STEP)]))
-            if not np.isfinite(values).all():
+            a = flat[elems]
+            if not (np.isfinite(values).all() and np.isfinite(a).all()):
                 return float("inf")
-            a, numeric = flat[elems], (values[0::2] - values[1::2]) / (2.0 * _FD_STEP)
+            numeric = (values[0::2] - values[1::2]) / (2.0 * _FD_STEP)
             err = abs(a - numeric) / np.maximum(np.maximum(abs(a), abs(numeric)), 1.0)
-            worst = float(max(worst, *err))  # max passes over a NaN error
-    return worst
+            worst = float(max(worst, *err))
+        return worst
+
+    local, children = [0], []
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                local.append(k)
+                continue
+            if pid == 0:
+                _run_stripe_in_child(stripe, k, write)
+            os.close(write)
+            children.append((pid, read))
+        results = [stripe(k) for k in local]
+    finally:
+        sent = []
+        for pid, read in children:
+            try:
+                with os.fdopen(read, "rb") as pipe:
+                    sent.append(pipe.read())
+            finally:
+                os.waitpid(pid, 0)
+    for (pid, _), data in zip(children, sent):
+        try:
+            result = pickle.loads(data)  # bytes a child of this call wrote
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"gradient check worker {pid} sent no result") from None
+        if isinstance(result, BaseException):
+            raise result
+        results.append(result)
+    return max(results)
+
+
+def _run_stripe_in_child(stripe, k, write):
+    """Write stripe(k), or what it raised, pickled to the fd `write`, then
+    end this forked process without returning into the caller's stack."""
+    try:
+        try:
+            result = stripe(k)
+        except BaseException as exc:  # sent to the parent, which raises it
+            result = exc
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+    finally:
+        os._exit(0)
 
 
 def gradcheck(loss_fn, checks):
@@ -604,7 +687,9 @@ def gradcheck(loss_fn, checks):
     loss_fn() once per probe to re-evaluate the scalar loss from the checked
     arrays' current contents.  A non-finite probe loss yields inf once the
     rest of its chunk is probed; if loss_fn raises, the probed element is
-    restored."""
+    restored.  Every probe runs in the calling process: loss_fn is the
+    caller's code and may have side effects, such as a training batchnorm
+    folding its running statistics, which a forked worker would drop."""
     def losses(arr, probes):
         out = []
         for i, v in probes:

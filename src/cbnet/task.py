@@ -10,12 +10,12 @@ cross-entropy over cells plus class cross-entropy, unit weights.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import engine
 from .backbone import BackboneSpec, Module, _init_conv
 from .composite import CBNet, CBNetConfig, WithHead, build_cbnet, set_mode
 from .engine import ConfigError, Conv2dLayer, GAP, ShapeError, Tape, Tensor4
@@ -270,18 +270,9 @@ def metrics_from_predictions(pred_grids, true_grids, pred_labels, true_labels):
     return {"cell_f1": f1, "class_accuracy": hits / len(true_labels)}
 
 
-def _eval_workers():
-    """The most slices `evaluate` splits a chunk into: the CPUs this
-    process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _logits(net: CBNet, head: Head, samples):
     """(objectness, class) logit arrays of `samples`, from forward-only
-    passes over up to `_eval_workers()` contiguous slices of them,
+    passes over up to `engine._usable_cpus()` contiguous slices of them,
     concatenated in slice order.
 
     The caller's thread runs the first slice and one thread per other
@@ -292,7 +283,7 @@ def _logits(net: CBNet, head: Head, samples):
     (batchnorm reads its running statistics, and convs run one gemm per
     sample), so the split changes no bit.
     """
-    w = min(_eval_workers(), len(samples))
+    w = min(engine._usable_cpus(), len(samples))
     bounds = [len(samples) * i // w for i in range(w + 1)]
     outs = [None] * w
 

@@ -5,7 +5,10 @@ counting, straight-line evaluation of the composition rules) without going
 through the graph machinery under test.
 """
 
+import os
+
 import numpy as np
+import pytest
 
 from cbnet import (
     CBNetConfig,
@@ -21,6 +24,12 @@ from cbnet import (
     set_mode,
     upsample_nearest,
 )
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- config space ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import re
 
 import numpy as np
@@ -703,6 +704,7 @@ def test_model_gradcheck_equals_full_forward_reference(kw):
 
 
 def test_model_gradcheck_stops_at_first_non_finite_probe(monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)  # replays counted in this process
     net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
     _, value, _ = next(iter(net.unique_learnables()))
     value.flat[0] = np.nan
@@ -714,6 +716,87 @@ def test_model_gradcheck_stops_at_first_non_finite_probe(monkeypatch):
     assert len(replayed) == 1
     assert replayed[0][0] is value
     assert replayed[0][1] == 2 * min(value.size, _PROBE_CHUNK)
+
+
+def test_model_gradcheck_fails_a_backward_that_yields_nan(monkeypatch):
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
+    image = helpers.random_image(NARROW, 34)
+    assert np.isfinite(model_gradcheck(net, image, loss_seed=5))
+    relu_backward = engine.relu_backward
+    monkeypatch.setattr(engine, "relu_backward", lambda x, g: relu_backward(x, g) * np.nan)
+    assert model_gradcheck(net, image, loss_seed=5) == float("inf")
+
+
+def _state_and_grads(net):
+    return [(name, v.copy()) for name, v in net.state()] + \
+        [(name, g.copy()) for name, _, g in net.unique_learnables()]
+
+
+def test_each_model_gradcheck_worker_stops_at_its_first_non_finite_chunk(monkeypatch, tmp_path):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
+    _, value, _ = next(iter(net.unique_learnables()))
+    value.flat[0] = np.nan  # every chunk's probe losses are NaN
+    log = tmp_path / "replays.log"
+    replay = Tape.replay
+
+    def logged(tape, arr, probes, readers, keep):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {arr is value} {probes[0][0]}\n")
+        return replay(tape, arr, probes, readers, keep)
+
+    monkeypatch.setattr(Tape, "replay", logged)
+    assert model_gradcheck(net, helpers.random_image(NARROW, 34)) == float("inf")
+    helpers.assert_no_child_left()
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert len(lines) == 2 and len({pid for pid, _, _ in lines}) == 2  # one replay each
+    assert [str(os.getpid()), "True", "0"] in lines  # this process's: chunk 0
+
+
+TOY_SAMPLE = [CBNetConfig(spec=TOY_SPEC, **kw) for kw in (
+    dict(num_backbones=2, style=CompositeStyle.DHLC),
+    dict(num_backbones=2, style=CompositeStyle.AHLC, share_weights=True, accelerated=True),
+    dict(num_backbones=3, style=CompositeStyle.ALLC, share_weights=True),
+)]
+
+
+@pytest.mark.parametrize(
+    "cfg", [CBNetConfig(spec=NARROW, **kw) for kw in GRADCHECK_CONFIGS] + TOY_SAMPLE,
+    ids=lambda cfg: f"{cfg.spec.image_size[0]}px-{_cfg_id(cfg)}")
+def test_model_gradcheck_does_not_depend_on_the_cpu_count(cfg, monkeypatch):
+    got = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        net = build_cbnet(cfg, 33)
+        image = helpers.random_image(cfg.spec, 34)
+        got.append((model_gradcheck(net, image, loss_seed=5), _state_and_grads(net),
+                    image.data.copy(), [p.mode for p in net.bn_params()]))
+        helpers.assert_no_child_left()
+    (want, state, image, modes), *split = got
+    for err, other, img, other_modes in split:
+        assert err == want
+        assert all(a == b and np.array_equal(x, y) for (a, x), (b, y) in zip(state, other))
+        assert np.array_equal(img, image) and other_modes == modes
+
+
+def test_model_gradcheck_raises_a_worker_failure_and_restores_the_net(monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
+    before = _state_and_grads(net)
+    parent = os.getpid()
+    replay = Tape.replay
+
+    def failing(tape, arr, probes, readers, keep):
+        if os.getpid() != parent:
+            raise RuntimeError("replay failed in a worker")
+        return replay(tape, arr, probes, readers, keep)
+
+    monkeypatch.setattr(Tape, "replay", failing)
+    with pytest.raises(RuntimeError, match="^replay failed in a worker$"):
+        model_gradcheck(net, helpers.random_image(NARROW, 34), loss_seed=5)
+    helpers.assert_no_child_left()
+    after = _state_and_grads(net)
+    assert all(a == b and np.array_equal(x, y) for (a, x), (b, y) in zip(before, after))
 
 
 class _HiddenParams:

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import helpers
 from cbnet import (
     BatchNormParams,
     ConfigError,
@@ -22,7 +25,17 @@ from cbnet import (
     upsample_nearest,
     upsample_nearest_backward,
 )
-from cbnet.engine import _FD_STEP, _PROBE_CHUNK, BN_MOMENTUM, BatchNormLayer, Conv2dLayer
+from cbnet.engine import (
+    _FD_STEP,
+    _MAX_PROBE_WORKERS,
+    _PROBE_CHUNK,
+    BN_MOMENTUM,
+    BatchNormLayer,
+    Conv2dLayer,
+    _probe_workers,
+    _usable_cpus,
+    _worst_error,
+)
 
 
 def t4(values):
@@ -380,6 +393,124 @@ def test_gradcheck_stops_after_the_chunk_holding_a_non_finite_loss():
     stop = (40 // _PROBE_CHUNK + 1) * _PROBE_CHUNK  # the end of element 40's chunk
     assert stop < 70
     assert [i for i, _ in probed] == [i for i in range(stop) for _ in (0, 1)]
+
+
+def test_gradcheck_scores_a_non_finite_analytic_gradient_as_inf():
+    a = np.array([1.0, 2.0])
+    assert gradcheck(lambda: float(a @ a), [(a, np.array([np.nan, np.nan]))]) == float("inf")
+    for bad in (np.nan, np.inf, -np.inf):  # one bad element among right ones
+        assert gradcheck(lambda: float(a @ a), [(a, np.array([2.0, bad]))]) == float("inf")
+    assert gradcheck(lambda: float(a @ a), [(a, 2.0 * a)]) < 1e-6
+
+
+# -- the chunks of one check spread over processes ---------------------------------
+
+
+def test_usable_cpus_are_the_cpus_this_process_may_use(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert _usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert _usable_cpus() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("cpus, chunks, want", [
+    (1, 100, 1), (2, 100, 2), (3, 100, 3), (3, 2, 2), (2, 1, 1), (8, 0, 1),
+    (10**9, 10**9, _MAX_PROBE_WORKERS), (_MAX_PROBE_WORKERS + 1, 3, 3),
+])
+def test_probe_workers_are_the_cpus_capped_by_the_chunks_and_a_constant(cpus, chunks, want):
+    assert 2 <= _MAX_PROBE_WORKERS <= 8  # a large host never starts many processes
+    assert _probe_workers(cpus, chunks) == want
+
+
+def _logged_losses(log, nan_at=(), fail_at=None):
+    """A losses callback over arr @ arr that appends "<pid> <first element>"
+    to the file `log` per call, returns NaN for the probes of an element
+    in nan_at and raises on the chunk that starts at element fail_at."""
+    def losses(arr, probes):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {probes[0][0]}\n")
+        if probes[0][0] == fail_at:
+            raise RuntimeError(f"chunk from element {fail_at}")
+        out = []
+        for i, v in probes:
+            orig, arr.flat[i] = arr.flat[i], v
+            out.append(np.nan if i in nan_at else float(arr @ arr))
+            arr.flat[i] = orig
+        return out
+
+    return losses
+
+
+def _chunks_by_process(log):
+    """{pid: first elements of the chunks it probed, in order}"""
+    found = {}
+    for line in log.read_text().splitlines():
+        pid, first = map(int, line.split())
+        found.setdefault(pid, []).append(first)
+    return found
+
+
+@pytest.mark.parametrize("cpus, stripes", [
+    (1, [[0, 1, 2]]),
+    (2, [[0, 2], [1, 3]]),
+    (3, [[0, 3], [1, 4], [2]]),
+])
+def test_each_worker_stops_after_its_own_first_non_finite_chunk(tmp_path, cpus, stripes):
+    arr = np.random.default_rng(5).standard_normal(6 * _PROBE_CHUNK)
+    orig = arr.copy()
+    log = tmp_path / "probes.log"
+    nan_at = {2 * _PROBE_CHUNK + 5, 3 * _PROBE_CHUNK + 7}  # in chunks 2 and 3
+    assert _worst_error([(arr, 2.0 * arr)], _logged_losses(log, nan_at), cpus) == float("inf")
+    helpers.assert_no_child_left()
+    assert arr.tobytes() == orig.tobytes()
+    chunks = _chunks_by_process(log)
+    assert chunks.pop(os.getpid()) == [c * _PROBE_CHUNK for c in stripes[0]]
+    assert sorted(chunks.values()) == [[c * _PROBE_CHUNK for c in s] for s in stripes[1:]]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_check_spread_over_workers_gives_the_serial_error(tmp_path, cpus):
+    arr = np.random.default_rng(6).standard_normal(5 * _PROBE_CHUNK + 3)
+    want = _worst_error([(arr, 2.0 * arr)], _logged_losses(tmp_path / "serial.log"))
+    log = tmp_path / "split.log"
+    assert _worst_error([(arr, 2.0 * arr)], _logged_losses(log), cpus) == want
+    helpers.assert_no_child_left()
+    assert len(_chunks_by_process(log)) == cpus
+    assert sorted(sum(_chunks_by_process(log).values(), [])) == \
+        list(range(0, arr.size, _PROBE_CHUNK))
+
+
+def test_a_worker_failure_is_raised_in_the_caller(tmp_path):
+    arr = np.random.default_rng(7).standard_normal(4 * _PROBE_CHUNK)
+    orig = arr.copy()
+    log = tmp_path / "probes.log"
+    with pytest.raises(RuntimeError, match=f"^chunk from element {_PROBE_CHUNK}$"):
+        _worst_error([(arr, 2.0 * arr)], _logged_losses(log, fail_at=_PROBE_CHUNK), 2)
+    helpers.assert_no_child_left()
+    assert arr.tobytes() == orig.tobytes()
+    chunks = _chunks_by_process(log)
+    assert chunks.pop(os.getpid()) == [0, 2 * _PROBE_CHUNK]  # the caller's stripe ran on
+    assert list(chunks.values()) == [[_PROBE_CHUNK]]
+
+
+def test_a_refused_fork_runs_that_stripe_in_the_caller(tmp_path, monkeypatch):
+    arr = np.random.default_rng(8).standard_normal(10 * _PROBE_CHUNK)
+    want = _worst_error([(arr, 2.0 * arr)], _logged_losses(tmp_path / "serial.log"))
+    forks = []
+
+    def refuse():
+        forks.append(None)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    log = tmp_path / "probes.log"
+    assert _worst_error([(arr, 2.0 * arr)], _logged_losses(log), 10**9) == want
+    assert len(forks) == _MAX_PROBE_WORKERS - 1
+    assert _chunks_by_process(log) == {
+        os.getpid(): [c * _PROBE_CHUNK for w in range(_MAX_PROBE_WORKERS)
+                      for c in range(w, 10, _MAX_PROBE_WORKERS)]}
+    monkeypatch.delattr(os, "fork")  # a platform without fork runs serially
+    assert _worst_error([(arr, 2.0 * arr)], _logged_losses(tmp_path / "nofork.log"), 4) == want
 
 
 def test_tensor4_requires_four_dims():

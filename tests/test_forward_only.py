@@ -8,7 +8,6 @@ benchmark's op tracer sees them.  `evaluate` splits each chunk into
 slices that run on threads; that must change no bit either.
 """
 
-import os
 import sys
 import threading
 
@@ -30,6 +29,7 @@ from cbnet import (
     build_head,
     cbnet_forward,
     composite,
+    engine,
     evaluate,
     force_zero_composites,
     gen_dataset,
@@ -143,7 +143,7 @@ def _tracer_counts_of_evaluate(monkeypatch, workers):
     recorded = Tape()
     head.forward(recorded, net.forward(data[0].image, recorded))
     tapes = _counting_factory(monkeypatch, task)
-    monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: workers)
     evaluate(net, head, data, chunk=2)
     assert all(t.steps == [] and not t.recording for t in tapes)
     return len(recorded.steps), tapes
@@ -201,19 +201,12 @@ def _eval_setup(kw=CONFIGS["accelerated"], n=7):
     return net, _randomized(build_head(cfg.spec, 21), 22), gen_dataset(23, n, 32)
 
 
-def test_eval_workers_are_the_cpus_this_process_may_use(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert task._eval_workers() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-    assert task._eval_workers() == (os.cpu_count() or 1)
-
-
 @pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
 def test_evaluate_metrics_do_not_depend_on_workers_or_chunk(monkeypatch, kw):
     net, head, data = _eval_setup(kw)
     got = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: workers)
         for chunk in (1, 3, 16, len(data)):
             got[workers, chunk] = evaluate(net, head, data, chunk=chunk)
     assert all(m == got[1, len(data)] for m in got.values()), got
@@ -226,7 +219,7 @@ def test_split_logits_equal_a_serial_forward_bit_for_bit(monkeypatch, workers):
     objectness, logits = head.forward(tape, net.forward(task._batch(data)[0], tape))
     # the comparison can fail: samples differ in their logits
     assert len({row.tobytes() for row in logits.data}) == len(data)
-    monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -252,13 +245,13 @@ def _wrong_size(data, *at):
 def test_evaluate_raises_a_slice_error_as_the_serial_path_does(monkeypatch, workers, chunk, at):
     net, head, data = _eval_setup(n=4)
     data = _wrong_size(data, *at)
-    monkeypatch.setattr(task, "_eval_workers", lambda: 1)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
     with pytest.raises(ShapeError) as serial:
         evaluate(net, head, data, chunk=1)
     set_mode(net, "training")
     before = [p.mode for p in net.bn_params()]
     threads = threading.active_count()
-    monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: workers)
     with pytest.raises(ShapeError) as split:
         evaluate(net, head, data, chunk=chunk)
     assert str(split.value) == str(serial.value)
@@ -280,7 +273,7 @@ def test_a_mixed_size_dataset_raises_one_spec_error_naming_the_sample(monkeypatc
         train(net, head, data, steps=2, lr=0.05, seed=0)
     messages.add(str(err.value))
     for workers in (1, 2, 4):
-        monkeypatch.setattr(task, "_eval_workers", lambda: workers)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: workers)
         with pytest.raises(ShapeError) as err:
             evaluate(net, head, data)
         messages.add(str(err.value))
@@ -301,7 +294,7 @@ def test_evaluate_raises_the_first_failing_slice_once_every_thread_is_joined(mon
         return batch(samples)
 
     monkeypatch.setattr(task, "_batch", failing)
-    monkeypatch.setattr(task, "_eval_workers", lambda: 3)  # slices from samples 0, 2, 4
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)  # slices from samples 0, 2, 4
     set_mode(net, "training")
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="^slice from sample 2$"):
