@@ -25,6 +25,7 @@ from .engine import (
     ShapeError,
     Tape,
     Tensor4,
+    is_int,
 )
 
 
@@ -43,9 +44,7 @@ class BackboneSpec:
             if np.ndim(value) != ndim:
                 what = "a sequence of positive integers" if ndim else "one positive integer"
                 raise ConfigError(f"BackboneSpec.{name}: expected {what}, got {value!r}")
-            # numpy integers pass; floats and bools do not
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-                       for v in (value if ndim else [value])):
+            if not all(is_int(v) and v >= 1 for v in (value if ndim else [value])):
                 raise ConfigError(f"BackboneSpec.{name}: expected positive integers, got {value!r}")
         object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
         object.__setattr__(self, "image_size", tuple(int(s) for s in self.image_size))
@@ -85,12 +84,6 @@ TOY_SPEC = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
                         image_size=(16, 16))
 
 
-def _learnables(p):
-    if isinstance(p, ConvParams):
-        return (("weight", p.weight.data, p.weight_grad), ("bias", p.bias, p.bias_grad))
-    return (("gamma", p.gamma, p.gamma_grad), ("beta", p.beta, p.beta_grad))
-
-
 class Module:
     """A named tree whose leaves are conv and batchnorm layers.
 
@@ -119,7 +112,7 @@ class Module:
         appear once per namespace."""
         for block in self._blocks():
             for name, p in block:
-                for field, value, grad in _learnables(p):
+                for field, value, grad in p.learnables():
                     yield f"{name}.{field}", value, grad
 
     def unique_learnables(self):
@@ -134,7 +127,7 @@ class Module:
         block the learnables first, then the batchnorm running stats."""
         for block in self._blocks():
             for name, p in block:
-                for field, value, _ in _learnables(p):
+                for field, value, _ in p.learnables():
                     yield f"{name}.{field}", value
             for name, p in block:
                 if isinstance(p, BatchNormParams):

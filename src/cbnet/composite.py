@@ -38,7 +38,6 @@ from .backbone import (
     Module,
     _init_bn,
     _init_conv,
-    _learnables,
     build_backbone,
 )
 from .engine import (
@@ -50,6 +49,7 @@ from .engine import (
     Tape,
     Tensor4,
     UpsampleLayer,
+    as_int,
 )
 
 
@@ -72,11 +72,13 @@ class CBNetConfig:
     spec: BackboneSpec = field(default_factory=BackboneSpec)
 
     def __post_init__(self):
-        for name, kinds, what in (("num_backbones", (int, np.integer), "an integer"),
-                                  ("style", CompositeStyle, "a CompositeStyle"),
+        as_int(self.num_backbones, "CBNetConfig.num_backbones")
+        for name, kinds, what in (("style", CompositeStyle, "a CompositeStyle"),
+                                  ("share_weights", (bool, np.bool_), "a bool"),
+                                  ("accelerated", (bool, np.bool_), "a bool"),
                                   ("spec", BackboneSpec, "a BackboneSpec")):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):  # a bool is an int
+            if not isinstance(value, kinds):
                 raise ConfigError(f"CBNetConfig.{name}: expected {what}, got {value!r}")
         if self.num_backbones < 1:
             raise ConfigError(f"need at least one backbone, got {self.num_backbones}")
@@ -313,11 +315,12 @@ def flop_count(net: CBNet, input_dims) -> int:
     sample of dims (1, *input_dims[1:]): a conv counts 2*c_in*k^2 per
     output element, and every other op (batchnorm, relu, add, upsample)
     one per output element.  Every op scales with the batch, so the total
-    is that sum times n = input_dims[0].  A batch size below 1, or dims the
-    spec does not accept, raise ShapeError.  Batchnorm runs in inference
-    mode, scoped by `set_mode`, so no running statistic moves.
+    is that sum times n = input_dims[0].  A batch size that is not an
+    integer of at least 1, or dims the spec does not accept, raise
+    ShapeError.  Batchnorm runs in inference mode, scoped by `set_mode`,
+    so no running statistic moves.
     """
-    n = int(input_dims[0])
+    n = as_int(input_dims[0], "flop_count batch size", ShapeError)
     if n < 1:
         raise ShapeError(f"input dims {tuple(input_dims)} need a batch size of at least 1")
     image = Tensor4(np.zeros((1, *input_dims[1:])))
@@ -393,20 +396,6 @@ class WeightsMismatch(ValueError):
 # -- verification ----------------------------------------------------------------
 
 
-def _reader_map(steps):
-    """id(array) -> indices of the steps that read it, as an input tensor
-    or through their layer's parameters, in one pass over the steps."""
-    found = {}
-    for s, (layer, xs, _, _) in enumerate(steps):
-        params = getattr(layer, "params", None)
-        arrays = [x.data for x in xs]
-        if params is not None:
-            arrays += [v for _, v, _ in _learnables(params)]
-        for a in arrays:
-            found.setdefault(id(a), set()).add(s)
-    return found
-
-
 def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     """Finite-difference check of the whole model.
 
@@ -415,24 +404,27 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     perturbed.  Batchnorm runs in training mode (the path the trainer
     uses), scoped by `set_mode`.  The recorded forward folds its batch
     statistics into the running stats, and so does a shared layer's
-    per-probe forward, so they are snapshotted and restored.
+    per-probe forward, and the backward pass overwrites every gradient,
+    so the running stats and the gradients are snapshotted and restored.
 
     The probes, the error and the stop rule are `engine._worst_error`'s,
     as in `engine.gradcheck`: inf after the first chunk with a non-finite
     analytic element or probe loss.  Its chunks are spread over forked
     workers, up to one per usable CPU: what a worker's replays change (a
     shared layer's folded statistics) is lost with it, and this check
-    restores that anyway.  Each chunk's probes replay the recorded tape as one
-    stack (`Tape.replay`): the stem runs once on a stack of perturbed
-    images, and a conv or batchnorm that reads a probed parameter reruns
-    per probe from its recorded columns or normalized input (its forward
-    runs per probe only if it hides its params or is shared and an
-    earlier reader stacked its input).  Ops that do not depend on the
-    perturbed array keep their recorded outputs, which is exactly what a
-    fresh forward would compute, since training-mode batchnorm outputs do
-    not depend on the running stats.
+    restores that anyway.  Each chunk's probes replay the recorded tape
+    as one stack (`Tape.replay`, which finds the steps that read the
+    probed array): the stem runs once on a stack of perturbed images, and
+    a conv or batchnorm that reads a probed parameter reruns per probe
+    from its recorded columns or normalized input (its forward runs per
+    probe only if it hides its params, when every step counts as a
+    reader, or is shared and an earlier reader stacked its input).  Ops
+    that do not depend on the perturbed array keep their recorded
+    outputs, which is exactly what a fresh forward would compute, since
+    training-mode batchnorm outputs do not depend on the running stats.
     """
-    snapshot = [(p, p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
+    snapshot = [(a, a.copy()) for p in net.bn_params() for a in (p.running_mean, p.running_var)]
+    snapshot += [(grad, grad.copy()) for _, _, grad in net.unique_learnables()]
     rng = np.random.default_rng(loss_seed)
     with set_mode(net, "training"):
         try:
@@ -446,13 +438,8 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
             checks.append((image.data, tape.grads[image]))
             recorded = [(c * lvl.data).sum() for c, lvl in zip(coeffs, pyramid.levels)]
 
-            known = _reader_map(tape.steps)  # the steps keep every mapped array alive
-
             def losses(arr, probes):
-                # no step maps arr when the layers reading it hide their
-                # params (a wrapping layer may): then any step may read it
-                readers = known.get(id(arr)) or set(range(len(tape.steps)))
-                stacked = tape.replay(arr, probes, readers, pyramid.levels)
+                stacked = tape.replay(arr, probes, pyramid.levels)
                 # per probe, the same sums as a fresh forward's projection
                 terms = [(c.reshape(-1) * stacked[lvl].data.reshape(len(probes), -1))
                          .sum(axis=1) if lvl in stacked else term
@@ -461,8 +448,5 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
 
             return engine._worst_error(checks, losses, engine._usable_cpus())
         finally:
-            for _, _, grad in net.unique_learnables():
-                grad[:] = 0.0
-            for p, mean, var in snapshot:
-                p.running_mean[:] = mean
-                p.running_var[:] = var
+            for arr, saved in snapshot:
+                arr[:] = saved

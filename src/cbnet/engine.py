@@ -34,6 +34,19 @@ class ConfigError(ValueError):
     """A parameter container or network configuration is invalid."""
 
 
+def is_int(value):
+    """The one rule for a count or size argument: an int or a numpy
+    integer, never a bool (which Python counts as an int)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def as_int(value, what, error=ConfigError):
+    """value as an int, or `error` naming `what` when `is_int` rejects it."""
+    if not is_int(value):
+        raise error(f"{what}: expected an integer, got {value!r}")
+    return int(value)
+
+
 class Tensor4:
     """A (n, c, h, w) float64 array: a plain value that carries no gradient.
 
@@ -74,13 +87,18 @@ class ConvParams:
         bias = np.ascontiguousarray(np.asarray(bias, dtype=np.float64))
         if bias.shape != (c_out,):
             raise ShapeError(f"bias shape {bias.shape} does not match c_out={c_out}")
-        if int(stride) < 1 or int(pad) < 0:
+        stride, pad = as_int(stride, "ConvParams stride"), as_int(pad, "ConvParams pad")
+        if stride < 1 or pad < 0:
             raise ConfigError(f"invalid stride={stride} pad={pad}")
         self.bias = bias
         self.weight_grad = np.zeros_like(self.weight.data)
         self.bias_grad = np.zeros_like(bias)
-        self.stride = int(stride)
-        self.pad = int(pad)
+        self.stride = stride
+        self.pad = pad
+
+    def learnables(self):
+        """(name, value, grad) of each learned array, the one list of them."""
+        return ("weight", self.weight.data, self.weight_grad), ("bias", self.bias, self.bias_grad)
 
     @property
     def c_out(self):
@@ -124,6 +142,10 @@ class BatchNormParams:
         self.mode = mode
         self.gamma_grad = np.zeros_like(gamma)
         self.beta_grad = np.zeros_like(beta)
+
+    def learnables(self):
+        """(name, value, grad) of each learned array, the one list of them."""
+        return ("gamma", self.gamma, self.gamma_grad), ("beta", self.beta, self.beta_grad)
 
     @property
     def channels(self):
@@ -484,6 +506,7 @@ class Tape:
         self.steps = []
         self.recording = True
         self.grads = {}
+        self._index = (0, {}, {})
 
     def run(self, layer, *xs) -> Tensor4:
         y, ctx = layer.forward(*xs)
@@ -491,17 +514,19 @@ class Tape:
             self.steps.append((layer, xs, y, ctx))
         return y
 
-    def replay(self, arr, probes, readers, keep):
+    def replay(self, arr, probes, keep):
         """Re-run the steps that depend on arr for a stack of P probes,
         probe p setting arr.flat[i] = v for (i, v) = probes[p].
 
         An input tensor of the pass that holds arr (the image) starts as
-        a stack of its P perturbed copies.  A step in `readers` that reads
-        arr through its layer runs once per probe: by `layer.rerun` from
-        its recorded context when its inputs are the recorded ones (no
-        im2col, no batchnorm statistic moves), else by `forward` on the
-        probe's n-sample slice of its inputs (a layer that hides its
-        params, or a shared one whose input is already stacked).  A step
+        a stack of its P perturbed copies.  A step whose layer's params
+        hold arr runs once per probe: by `layer.rerun` from its recorded
+        context when its inputs are the recorded ones (no im2col, no
+        batchnorm statistic moves), else by `forward` on the probe's
+        n-sample slice of its inputs (a shared layer whose input is
+        already stacked).  When neither a tensor nor any step's params
+        hold arr, the layers that read it hide their params (a wrapping
+        layer may), so every step counts as a reader and runs per probe.  A step
         that reads a stacked output runs once on the stack, its unchanged
         operands repeated P times; every stack's `group` is n, so training
         batchnorm normalizes each probe on its own.  Other steps keep
@@ -509,11 +534,20 @@ class Tape:
 
         Returns {recorded output: stacked output} for the outputs in
         `keep`; any other stacked output is dropped after its last reader.
+        The steps are indexed once per tape length: the last step that
+        reads or makes each tensor, and the steps whose params hold each
+        array (by id; the steps keep the arrays alive).
         """
-        last = {}
-        for s, (_, xs, y, _) in enumerate(self.steps):
-            for t in (*xs, y):
-                last[t] = s
+        if self._index[0] != len(self.steps):
+            last, holders = {}, {}
+            for s, (layer, xs, y, _) in enumerate(self.steps):
+                for t in (*xs, y):
+                    last[t] = s
+                params = getattr(layer, "params", None)
+                for _, value, _ in params.learnables() if params is not None else ():
+                    holders.setdefault(id(value), set()).add(s)
+            self._index = (len(self.steps), last, holders)
+        _, last, holders = self._index
         keep = set(keep)
         P = len(probes)
         stacked = {}
@@ -523,6 +557,7 @@ class Tape:
                 stacked[t] = Tensor4(np.tile(arr, (P, 1, 1, 1)))
                 stacked[t].data.reshape(P, -1)[range(P), index] = values
                 stacked[t].group = len(arr)
+        readers = holders.get(id(arr)) or (() if stacked else range(len(self.steps)))
 
         def probe_slice(t, p):
             st = stacked.get(t)

@@ -18,7 +18,7 @@ import numpy as np
 from . import engine
 from .backbone import BackboneSpec, Module, _init_conv
 from .composite import CBNet, CBNetConfig, WithHead, build_cbnet, set_mode
-from .engine import ConfigError, Conv2dLayer, GAP, ShapeError, Tape, Tensor4
+from .engine import ConfigError, Conv2dLayer, GAP, ShapeError, Tape, Tensor4, as_int
 
 GRID_STRIDE = 4
 # a shape's half-size is drawn from 5..10 and its centre lies at least that
@@ -50,7 +50,7 @@ class SyntheticSample:
 def render_sample(seed, image_size=64):
     """Deterministically draw one sample; also returns the shape's bounding
     box (r0, r1, c0, c1), inclusive pixel coords, for geometric checking."""
-    size = int(image_size)
+    size = as_int(image_size, "render_sample image_size")
     if size % GRID_STRIDE:
         raise ConfigError(f"image size {size} not divisible by {GRID_STRIDE}")
     if size < MIN_IMAGE_SIZE:
@@ -86,7 +86,7 @@ def render_sample(seed, image_size=64):
 
 def gen_dataset(seed, n, image_size=64):
     """n independent samples; sample i is drawn from seed + i."""
-    if n < 1:
+    if as_int(n, "gen_dataset n") < 1:
         raise ConfigError(f"dataset size must be >= 1, got {n}")
     return [render_sample(seed + i, image_size)[0] for i in range(n)]
 
@@ -196,7 +196,7 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     one-sample batch meets a 1x1 last stage, and an image the spec rejects.
     """
     _check_dataset(dataset, net.config.spec, "train")
-    if steps < 0:
+    if as_int(steps, "train steps") < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     if not 0 <= lr < np.inf:
         raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
@@ -321,7 +321,7 @@ def evaluate(net: CBNet, head: Head, dataset, chunk=16) -> dict:
     still need them, and `chunk` bounds the samples in flight.  An image
     the spec rejects raises its ShapeError, naming the sample, up front."""
     _check_dataset(dataset, net.config.spec, "evaluate")
-    if chunk < 1:
+    if as_int(chunk, "evaluate chunk") < 1:
         raise ConfigError(f"evaluation chunk must be at least 1, got {chunk}")
     pred_grids, pred_labels = [], []
     with set_mode(net, "inference"):

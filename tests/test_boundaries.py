@@ -21,12 +21,16 @@ from cbnet import (
     Tensor4,
     build_backbone,
     build_cbnet,
+    evaluate,
+    flop_count,
     force_zero_composites,
+    gen_dataset,
     loss_and_grads,
     set_mode,
+    train,
     write_pgm,
 )
-from cbnet.task import build_task
+from cbnet.task import build_task, render_sample
 
 
 def _conv(c_out=2, c_in=2, k=1, bias=None, **kw):
@@ -37,6 +41,16 @@ def _conv(c_out=2, c_in=2, k=1, bias=None, **kw):
 def _bn(c=2, beta=None, **kw):
     return BatchNormParams(np.ones(c), np.zeros(c) if beta is None else beta,
                            np.zeros(c), np.ones(c), **kw)
+
+
+def _task():
+    """A one-backbone net, its head and one 24x24 sample."""
+    return build_task(CBNetConfig(num_backbones=1, spec=BackboneSpec(
+        num_stages=2, stem_channels=2, stage_channels=(2, 2), image_size=(24, 24))), 0, 1)
+
+
+def _toy_net():
+    return build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 0)
 
 
 CASES = {
@@ -68,6 +82,15 @@ CASES = {
     "config backbone count a bool": (
         lambda: CBNetConfig(num_backbones=True, spec=TOY_SPEC),
         ConfigError, "CBNetConfig.num_backbones: expected an integer, got True"),
+    "config share_weights a string": (
+        lambda: CBNetConfig(share_weights="no", spec=TOY_SPEC),
+        ConfigError, "CBNetConfig.share_weights: expected a bool, got 'no'"),
+    "config accelerated a string": (
+        lambda: CBNetConfig(accelerated="no", spec=TOY_SPEC),
+        ConfigError, "CBNetConfig.accelerated: expected a bool, got 'no'"),
+    "config accelerated an int": (
+        lambda: CBNetConfig(accelerated=1, spec=TOY_SPEC),
+        ConfigError, "CBNetConfig.accelerated: expected a bool, got 1"),
     "config spec not a BackboneSpec": (
         lambda: CBNetConfig(spec=(3, 4)),
         ConfigError, "CBNetConfig.spec: expected a BackboneSpec, got (3, 4)"),
@@ -118,6 +141,39 @@ CASES = {
     "conv pad": (
         lambda: _conv(pad=-1),
         ConfigError, "invalid stride=1 pad=-1"),
+    "conv stride a float": (
+        lambda: _conv(stride=1.5),
+        ConfigError, "ConvParams stride: expected an integer, got 1.5"),
+    "conv pad a float": (
+        lambda: _conv(pad=0.7),
+        ConfigError, "ConvParams pad: expected an integer, got 0.7"),
+    "flop_count batch a float": (
+        lambda: flop_count(_toy_net(), (2.5, 3, 16, 16)),
+        ShapeError, "flop_count batch size: expected an integer, got 2.5"),
+    "flop_count batch a bool": (
+        lambda: flop_count(_toy_net(), (True, 3, 16, 16)),
+        ShapeError, "flop_count batch size: expected an integer, got True"),
+    "render_sample image size a float": (
+        lambda: render_sample(0, image_size=32.9),
+        ConfigError, "render_sample image_size: expected an integer, got 32.9"),
+    "gen_dataset image size a float": (
+        lambda: gen_dataset(0, 2, image_size=32.9),
+        ConfigError, "render_sample image_size: expected an integer, got 32.9"),
+    "gen_dataset size a float": (
+        lambda: gen_dataset(0, 2.5),
+        ConfigError, "gen_dataset n: expected an integer, got 2.5"),
+    "evaluate chunk a float": (
+        lambda: evaluate(*_task(), chunk=2.5),
+        ConfigError, "evaluate chunk: expected an integer, got 2.5"),
+    "evaluate chunk a bool": (
+        lambda: evaluate(*_task(), chunk=True),
+        ConfigError, "evaluate chunk: expected an integer, got True"),
+    "train steps a float": (
+        lambda: train(*_task(), steps=1.5, lr=0.1, seed=0),
+        ConfigError, "train steps: expected an integer, got 1.5"),
+    "train steps a bool": (
+        lambda: train(*_task(), steps=True, lr=0.1, seed=0),
+        ConfigError, "train steps: expected an integer, got True"),
     "bn beta shape": (
         lambda: _bn(beta=np.zeros(3)),
         ShapeError, "batchnorm beta shape (3,) != gamma shape (2,)"),

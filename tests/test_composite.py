@@ -39,7 +39,6 @@ from cbnet import (
     state_dict,
 )
 from cbnet import composite, engine
-from cbnet.composite import _reader_map
 from cbnet.engine import _PROBE_CHUNK
 
 SMALL = BackboneSpec(num_stages=3, stem_channels=4, stage_channels=(4, 8, 8),
@@ -422,6 +421,12 @@ def test_config_accepts_a_numpy_backbone_count():
     assert len(build_cbnet(cfg, 0).backbones) == 2
 
 
+def test_config_accepts_numpy_bool_flags():
+    net = build_cbnet(CBNetConfig(share_weights=np.True_, accelerated=np.True_, spec=TOY_SPEC), 0)
+    assert net.backbones[0].first_stage == 3
+    assert net.backbones[0].stages[0] is net.backbones[1].stage(3)
+
+
 # -- config space and weight layout --------------------------------------------------
 
 TINY = BackboneSpec(num_stages=3, stem_channels=2, stage_channels=(2, 3, 3),
@@ -611,22 +616,35 @@ def _perturbed_arrays(net, image):
     return arrays
 
 
+def _count_runs(monkeypatch, tape):
+    """A list that gains one entry per `forward` or `rerun` call of a layer
+    on tape: a replay's every-step fallback makes len(tape.steps) per probe."""
+    calls = []
+    for cls in {type(layer) for layer, _, _, _ in tape.steps}:
+        for name in ("forward", "rerun"):
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, lambda self, *a, run=getattr(cls, name): (
+                    calls.append(self) or run(self, *a)))
+    return calls
+
+
 @pytest.mark.parametrize("cfg", list(_toy_configs()), ids=_cfg_id)
-def test_replay_from_first_reader_equals_fresh_forward(cfg):
+def test_replay_from_first_reader_equals_fresh_forward(cfg, monkeypatch):
     net = build_cbnet(cfg, 31)
     image = helpers.random_image(TOY_SPEC, 32)
     set_mode(net, "training")
     for what, arr in _perturbed_arrays(net, image):
         tape = Tape()
         pyramid = net.forward(image, tape)
-        readers = _reader_map(tape.steps)[id(arr)]
-        assert (0 in readers) == (what == "image"), what
-        assert len(readers) < len(tape.steps), what
         # in a 3x3 kernel, flat 4 and size - 5 are centre taps, which every output reads
         a, b = (4, arr.size - 5) if arr.size >= 9 else (0, arr.size - 1)
         probes = [(a, arr.flat[a] + 0.25), (b, arr.flat[b] - 0.5), (a, arr.flat[a] - 0.125)]
         orig = arr.copy()
-        stacked = tape.replay(arr, probes, readers, pyramid.levels)
+        with monkeypatch.context() as m:
+            calls = _count_runs(m, tape)
+            stacked = tape.replay(arr, probes, pyramid.levels)
+        # visible params: the replay finds arr's readers, not the every-step fallback
+        assert len(calls) < len(tape.steps) * len(probes), what
         assert np.array_equal(arr, orig), what
         n = image.dims[0]
         for p, (i, v) in enumerate(probes):
@@ -671,8 +689,7 @@ def test_replay_reruns_parameter_readers_from_their_recorded_context(monkeypatch
     calls = []
     monkeypatch.setattr(engine, "_im2col", lambda *a: calls.append(a) or im2col(*a))
     for arr, probes, y, expected in cases:
-        stacked = tape.replay(arr, probes, _reader_map(tape.steps)[id(arr)],
-                              [*pyramid.levels, y])
+        stacked = tape.replay(arr, probes, [*pyramid.levels, y])
         assert np.array_equal(stacked[y].data, expected)
         assert calls == [] or arr is bn_p.gamma
     for p, (mean, var) in zip(net.bn_params(), stats):
@@ -710,8 +727,8 @@ def test_model_gradcheck_stops_at_first_non_finite_probe(monkeypatch):
     value.flat[0] = np.nan
     replayed = []
     replay = Tape.replay
-    monkeypatch.setattr(Tape, "replay", lambda tape, arr, probes, readers, keep: (
-        replayed.append((arr, len(probes))) or replay(tape, arr, probes, readers, keep)))
+    monkeypatch.setattr(Tape, "replay", lambda tape, arr, probes, keep: (
+        replayed.append((arr, len(probes))) or replay(tape, arr, probes, keep)))
     assert model_gradcheck(net, helpers.random_image(NARROW, 34)) == float("inf")
     assert len(replayed) == 1
     assert replayed[0][0] is value
@@ -740,10 +757,10 @@ def test_each_model_gradcheck_worker_stops_at_its_first_non_finite_chunk(monkeyp
     log = tmp_path / "replays.log"
     replay = Tape.replay
 
-    def logged(tape, arr, probes, readers, keep):
+    def logged(tape, arr, probes, keep):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {arr is value} {probes[0][0]}\n")
-        return replay(tape, arr, probes, readers, keep)
+        return replay(tape, arr, probes, keep)
 
     monkeypatch.setattr(Tape, "replay", logged)
     assert model_gradcheck(net, helpers.random_image(NARROW, 34)) == float("inf")
@@ -779,6 +796,19 @@ def test_model_gradcheck_does_not_depend_on_the_cpu_count(cfg, monkeypatch):
         assert np.array_equal(img, image) and other_modes == modes
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_model_gradcheck_gives_the_callers_gradients_back(cpus, monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.DHLC, spec=NARROW), 33)
+    rng = np.random.default_rng(36)
+    for _, _, grad in net.unique_learnables():
+        grad[:] = rng.standard_normal(grad.shape)
+    before = [g.copy() for _, _, g in net.unique_learnables()]
+    model_gradcheck(net, helpers.random_image(NARROW, 34), loss_seed=5)
+    helpers.assert_no_child_left()
+    assert all(np.array_equal(g, b) for (_, _, g), b in zip(net.unique_learnables(), before))
+
+
 def test_model_gradcheck_raises_a_worker_failure_and_restores_the_net(monkeypatch):
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     net = build_cbnet(CBNetConfig(num_backbones=2, spec=NARROW), 33)
@@ -786,10 +816,10 @@ def test_model_gradcheck_raises_a_worker_failure_and_restores_the_net(monkeypatc
     parent = os.getpid()
     replay = Tape.replay
 
-    def failing(tape, arr, probes, readers, keep):
+    def failing(tape, arr, probes, keep):
         if os.getpid() != parent:
             raise RuntimeError("replay failed in a worker")
-        return replay(tape, arr, probes, readers, keep)
+        return replay(tape, arr, probes, keep)
 
     monkeypatch.setattr(Tape, "replay", failing)
     with pytest.raises(RuntimeError, match="^replay failed in a worker$"):
@@ -823,18 +853,34 @@ def test_model_gradcheck_is_unchanged_when_layers_hide_their_params(kw, monkeypa
     net = build_cbnet(CBNetConfig(spec=NARROW, **kw), 33)
     image = helpers.random_image(NARROW, 34)
     want = model_gradcheck(net, image, loss_seed=5)
+    monkeypatch.setattr(composite, "Tape", _WrappingTape)
+    assert model_gradcheck(net, image, loss_seed=5) == want
+    # no step's params hold a hidden array: the every-step fallback
     tape = _WrappingTape()
     net.forward(image, tape)
     _, value, _ = next(iter(net.unique_learnables()))
-    assert id(value) not in _reader_map(tape.steps)  # model_gradcheck's fallback
-    monkeypatch.setattr(composite, "Tape", _WrappingTape)
-    seen = []
-    replay = Tape.replay
-    monkeypatch.setattr(Tape, "replay", lambda tape, arr, probes, readers, keep: (
-        seen.append((arr, readers, len(tape.steps))) or replay(tape, arr, probes, readers, keep)))
-    assert model_gradcheck(net, image, loss_seed=5) == want
-    fallback = [readers == set(range(n)) for arr, readers, n in seen if arr is value]
-    assert fallback and all(fallback)
+    probes = [(0, value.flat[0] + d) for d in (1e-5, -1e-5, 2e-5)]
+    calls = _count_runs(monkeypatch, tape)
+    tape.replay(value, probes, [])
+    assert len(calls) == len(tape.steps) * len(probes)
+
+
+def test_replay_reindexes_a_tape_that_grew():
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.DHLC, spec=NARROW), 33)
+    image = helpers.random_image(NARROW, 34)
+    rng = np.random.default_rng(35)
+    head = engine.Conv2dLayer(ConvParams(rng.standard_normal((3, 2, 1, 1)), np.zeros(3)))
+    weight = head.params.weight.data
+    cases = [(image.data, [(5, 0.25), (9, -0.5)]), (weight, [(1, 0.5), (4, -0.25)])]
+    tape = Tape()
+    pyramid = net.forward(image, tape)
+    tape.replay(image.data, cases[0][1], pyramid.levels)  # indexes the net's steps only
+    y = tape.run(head, pyramid.last)
+    fresh = Tape()
+    fresh_y = fresh.run(head, net.forward(image, fresh).last)
+    for arr, probes in cases:
+        got, want = tape.replay(arr, probes, [y]), fresh.replay(arr, probes, [fresh_y])
+        assert np.array_equal(got[y].data, want[fresh_y].data)
 
 
 # -- gradients live only in the backward walk ----------------------------------------
