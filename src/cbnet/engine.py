@@ -166,21 +166,29 @@ def _conv_out_hw(h, w, k, stride, pad):
 
 
 def _im2col(x, k, stride, pad):
+    """The (n, c·k·k, oh·ow) columns of x for a k×k window at `stride` and
+    `pad`, with (oh, ow).
+
+    x must be C-contiguous: every caller passes a `Tensor4`'s data or a
+    fresh padded array.  The windows are one strided view of the padded
+    input, built over its buffer, which rejects a non-contiguous x or a
+    window past the buffer's end with `ValueError`; one reshape then copies
+    them into columns.  Where that reshape needs no copy (a 1x1 stride-1
+    conv without padding, or a window that covers the whole unpadded map)
+    the columns alias x: the tape never mutates a recorded input.
+    """
     n, c, h, w = x.shape
     oh, ow = _conv_out_hw(h, w, k, stride, pad)
     if k == 1 and stride == 1 and pad == 0:
-        # the input is its own column matrix; the tape never mutates a
-        # recorded input, so the columns may alias it
         return x.reshape(n, c, h * w), oh, ow
     xp = x
     if pad:
         xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
         xp[:, :, pad:pad + h, pad:pad + w] = x
-    cols = np.empty((n, c, k, k, oh, ow), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(n, c * k * k, oh * ow), oh, ow
+    sn, sc, sh, sw = xp.strides
+    windows = np.ndarray((n, c, k, k, oh, ow), np.float64, xp, 0,
+                         (sn, sc, sh, sw, stride * sh, stride * sw))
+    return windows.reshape(n, c * k * k, oh * ow), oh, ow
 
 
 def _conv_check(x, p):
@@ -251,7 +259,9 @@ def _bn_normalize(x, p, group=None):
     batch statistics in training mode, the running estimates in every row
     in inference mode.  The batch statistics are sum / m and the mean of
     the squared centred input, which is what np.mean and np.var compute,
-    bit for bit, while centring x only once.  Nothing is mutated.
+    bit for bit, while centring x only once.  x is never written: the
+    normalized x is the fresh centred array, scaled in place.  Callers
+    record it, so nothing may write into it once it is returned.
     """
     _bn_check(x, p)
     n, c, h, w = x.shape
@@ -266,7 +276,8 @@ def _bn_normalize(x, p, group=None):
         var = np.broadcast_to(p.running_var, (len(xg), c))
         xc = xg - mu[:, None, :, None, None]
     istd = 1.0 / np.sqrt(var + BN_EPS)
-    return mu, var, istd, (xc * istd[:, None, :, None, None]).reshape(x.shape)
+    xc *= istd[:, None, :, None, None]
+    return mu, var, istd, xc.reshape(x.shape)
 
 
 def _bn_forward(x, p, group=None):
@@ -282,7 +293,10 @@ def _bn_forward(x, p, group=None):
 
 
 def _bn_affine(xhat, p):
-    return p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
+    """gamma * xhat + beta in a fresh array; xhat is never written."""
+    y = xhat * p.gamma[None, :, None, None]
+    y += p.beta[None, :, None, None]
+    return y
 
 
 def _bn_backward(x, p, grad_out, cache):

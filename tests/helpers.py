@@ -141,6 +141,22 @@ def flops_oracle(cfg, n):
     return n * total
 
 
+# -- im2col --------------------------------------------------------------------
+
+
+def im2col_oracle(x, k, stride, pad):
+    """The (n, c·k·k, oh·ow) columns of x and (oh, ow), one strided slice
+    copy of the `np.pad`-ded input per window offset (i, j)."""
+    n, c, h, w = x.shape
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, k, k, oh, ow))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(n, c * k * k, oh * ow), (oh, ow)
+
+
 # -- straight-line network evaluation -----------------------------------------
 
 

@@ -1,14 +1,16 @@
 """Property tests of the engine primitives over random shapes.
 
 Each property is checked against an independent reference: a loop over
-output positions for conv2d and nearest upsampling, an `np.pad` column
-builder for `_im2col`, `x.mean` / `x.var` for training-mode batchnorm, a
-loop over channels for the batchnorm backward, and one `_bn_forward` per
-probe for a grouped probe stack.  Example generation is derandomized, so
-every run checks the same cases.
+output positions for conv2d and nearest upsampling, `helpers.im2col_oracle`
+(one slice copy per window offset) for `_im2col`, `x.mean` / `x.var` for
+training-mode batchnorm, a loop over channels for the batchnorm backward,
+one `_bn_forward` per probe for a grouped probe stack, and copies taken
+before the call for what batchnorm must never write.  Example generation
+is derandomized, so every run checks the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,8 @@ from cbnet import (
     upsample_nearest,
     upsample_nearest_backward,
 )
-from cbnet.engine import BN_EPS, BN_MOMENTUM, _bn_forward, _im2col
+from cbnet.engine import BN_EPS, BN_MOMENTUM, BatchNormLayer, _bn_forward, _im2col
+from helpers import im2col_oracle
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -90,21 +93,54 @@ def test_conv2d_matches_loop_oracle(case):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@st.composite
+def im2col_cases(draw):
+    """(x, k, stride, pad) with n in {1, 2, 3, 64}, c in 1..4, k in {1, 3},
+    h, w in k..9, stride in {1, 2} and pad in {0, 1}; odd sizes leave
+    trailing rows and columns that no window reaches."""
+    k = draw(st.sampled_from([1, 3]))
+    n, c = draw(st.sampled_from([1, 2, 3, 64])), draw(st.integers(1, 4))
+    h, w = draw(st.integers(k, 9)), draw(st.integers(k, 9))
+    stride, pad = draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.standard_normal((n, c, h, w)), k, stride, pad
+
+
 @PROPERTY
-@given(conv_cases())
+@given(im2col_cases())
 def test_im2col_equals_np_pad_reference(case):
-    x, p = case
-    k, s, pad = p.kernel, p.stride, p.pad
-    xp = _padded(x, pad)
-    windows = _windows(x, p)
-    oh, ow = windows[-1][0] + 1, windows[-1][1] + 1
-    want = np.empty((x.shape[0], x.shape[1], k, k, oh, ow))
-    for i in range(k):
-        for j in range(k):
-            want[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
-    cols, got_oh, got_ow = _im2col(x, k, s, pad)
-    assert (got_oh, got_ow) == (oh, ow)
-    assert np.array_equal(cols, want.reshape(x.shape[0], -1, oh * ow))
+    x, k, stride, pad = case
+    want, want_hw = im2col_oracle(x, k, stride, pad)
+    cols, *hw = _im2col(x, k, stride, pad)
+    assert tuple(hw) == want_hw
+    assert np.array_equal(cols, want)
+
+
+@pytest.mark.parametrize("k, stride", [(1, 1), (3, 1), (3, 2)])
+def test_im2col_whole_window_equals_oracle(k, stride):
+    # one window covers the unpadded map: a single output position
+    x = np.random.default_rng(k + stride).standard_normal((3, 2, k, k))
+    cols, oh, ow = _im2col(x, k, stride, 0)
+    assert (oh, ow) == (1, 1)
+    assert np.array_equal(cols, im2col_oracle(x, k, stride, 0)[0])
+
+
+def test_im2col_1x1_columns_alias_the_input():
+    x = np.random.default_rng(1).standard_normal((2, 3, 5, 4))
+    cols, oh, ow = _im2col(x, 1, 1, 0)
+    assert (oh, ow) == (5, 4) and np.shares_memory(cols, x)
+    assert np.array_equal(cols, im2col_oracle(x, 1, 1, 0)[0])
+
+
+@pytest.mark.parametrize("view", [lambda a: a[:, :, ::2], lambda a: a.transpose(0, 1, 3, 2)],
+                         ids=["row-strided", "transposed"])
+def test_im2col_rejects_a_non_contiguous_input(view):
+    x = view(np.random.default_rng(2).standard_normal((2, 3, 9, 7)))
+    assert not x.flags.c_contiguous
+    with pytest.raises(ValueError):
+        _im2col(x, 3, 1, 0)
+    # padding copies x into a fresh array first, so any layout gives its columns
+    assert np.array_equal(_im2col(x, 3, 2, 1)[0], im2col_oracle(x, 3, 2, 1)[0])
 
 
 @PROPERTY
@@ -154,6 +190,36 @@ def test_grouped_training_batchnorm_equals_one_call_per_group(groups, n, c, h, w
         assert np.array_equal(xhat[rows], want_xhat)
         # a plain batch is one run: its statistics have a single row
         assert np.array_equal(mu[g], want_mu[0]) and np.array_equal(istd[g], want_istd[0])
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 4), st.sampled_from(["training", "inference"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_batchnorm_writes_neither_its_input_nor_its_recorded_xhat(groups, n, c, h, w, mode,
+                                                                   stacked, seed):
+    # guards the in-place steps: xhat is the centred input scaled in place, and
+    # the output starts as xhat * gamma, then takes beta in place
+    rng = np.random.default_rng(seed)
+    x, p = _bn_case(rng, groups * n, c, h, w, mode)
+    group = n if stacked else None
+    x0 = x.copy()
+    _bn_forward(x, p, group)
+    assert np.array_equal(x, x0)
+
+    inp = Tensor4(x)
+    inp.group = group
+    layer = BatchNormLayer(p)
+    y, ctx = layer.forward(inp)
+    assert np.array_equal(inp.data, x0)
+    xhat = ctx[1][2]
+    recorded = xhat.copy()
+    for _ in range(2):
+        assert np.array_equal(layer.rerun(ctx), y.data)
+    if not stacked:  # a probe stack is only ever rerun
+        layer.backward(ctx, rng.standard_normal(x.shape))
+    assert np.array_equal(xhat, recorded)
+    assert np.array_equal(inp.data, x0)
 
 
 @PROPERTY
