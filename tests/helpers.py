@@ -141,7 +141,7 @@ def flops_oracle(cfg, n):
     return n * total
 
 
-# -- im2col --------------------------------------------------------------------
+# -- im2col and col2im ---------------------------------------------------------
 
 
 def im2col_oracle(x, k, stride, pad):
@@ -155,6 +155,41 @@ def im2col_oracle(x, k, stride, pad):
         for j in range(k):
             cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
     return cols.reshape(n, c * k * k, oh * ow), (oh, ow)
+
+
+def col2im_oracle(g6, x_shape, stride, pad):
+    """The input gradient from the per-tap column gradients g6, shaped
+    (n, c, k, k, oh, ow): each tap (i, j) in turn is added into a zeroed
+    padded buffer, then the padding is cropped off by a copy."""
+    n, c, h, w = x_shape
+    k, oh, ow = g6.shape[2], g6.shape[4], g6.shape[5]
+    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[:, :, i, j]
+    return np.ascontiguousarray(gxp[:, :, pad:pad + h, pad:pad + w])
+
+
+# -- batchnorm backward --------------------------------------------------------
+
+
+def bn_training_backward_oracle(x, p, grad_out, cache):
+    """Training batchnorm's (input, gamma, beta) gradients from the
+    (mu, istd, xhat) cache of its forward, each term of the input gradient
+    in a fresh array and summed left to right."""
+    (mu,), (istd,), xhat = cache
+    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    grad_beta = grad_out.sum(axis=(0, 2, 3))
+    gxhat = grad_out * p.gamma[None, :, None, None]
+    n, _, h, w = x.shape
+    m = float(n * h * w)
+    xc = x - mu[None, :, None, None]
+    gvar = (gxhat * xc).sum(axis=(0, 2, 3)) * (-0.5) * istd ** 3
+    gmu = -(gxhat.sum(axis=(0, 2, 3))) * istd + gvar * (-2.0 / m) * xc.sum(axis=(0, 2, 3))
+    grad_in = (gxhat * istd[None, :, None, None]
+               + gvar[None, :, None, None] * (2.0 / m) * xc
+               + gmu[None, :, None, None] / m)
+    return grad_in, grad_gamma, grad_beta
 
 
 # -- straight-line network evaluation -----------------------------------------

@@ -147,6 +147,12 @@ CASES = {
     "conv pad a float": (
         lambda: _conv(pad=0.7),
         ConfigError, "ConvParams pad: expected an integer, got 0.7"),
+    "conv weight NaN": (
+        lambda: ConvParams(np.full((2, 2, 3, 3), np.nan), np.zeros(2)),
+        ConfigError, "conv weight holds NaN or inf"),
+    "conv bias inf": (
+        lambda: _conv(bias=np.array([0.0, -np.inf])),
+        ConfigError, "conv bias holds NaN or inf"),
     "flop_count batch a float": (
         lambda: flop_count(_toy_net(), (2.5, 3, 16, 16)),
         ShapeError, "flop_count batch size: expected an integer, got 2.5"),
@@ -177,6 +183,22 @@ CASES = {
     "bn beta shape": (
         lambda: _bn(beta=np.zeros(3)),
         ShapeError, "batchnorm beta shape (3,) != gamma shape (2,)"),
+    "bn gamma NaN": (
+        lambda: BatchNormParams([1.0, np.nan], np.zeros(2), np.zeros(2), np.ones(2)),
+        ConfigError, "batchnorm gamma holds NaN or inf"),
+    "bn beta inf": (
+        lambda: _bn(beta=np.array([np.inf, 0.0])),
+        ConfigError, "batchnorm beta holds NaN or inf"),
+    "bn running_mean inf": (
+        lambda: BatchNormParams(np.ones(2), np.zeros(2), [0.0, -np.inf], np.ones(2)),
+        ConfigError, "batchnorm running_mean holds NaN or inf"),
+    # NaN < 0 is False, so the negative-variance check alone lets NaN through
+    "bn running_var NaN": (
+        lambda: BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), [np.nan, 1.0]),
+        ConfigError, "batchnorm running_var holds NaN or inf"),
+    "bn running_var inf": (
+        lambda: BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), [1.0, np.inf]),
+        ConfigError, "batchnorm running_var holds NaN or inf"),
     "bn mode": (
         lambda: _bn(mode="eval"),
         ConfigError, "batchnorm mode must be training|inference, got 'eval'"),

@@ -2,11 +2,14 @@
 
 Each property is checked against an independent reference: a loop over
 output positions for conv2d and nearest upsampling, `helpers.im2col_oracle`
-(one slice copy per window offset) for `_im2col`, `x.mean` / `x.var` for
-training-mode batchnorm, a loop over channels for the batchnorm backward,
-one `_bn_forward` per probe for a grouped probe stack, and copies taken
-before the call for what batchnorm must never write.  Example generation
-is derandomized, so every run checks the same cases.
+(one slice copy per window offset) for `_im2col`, `helpers.col2im_oracle`
+(a padded buffer, cropped) for the conv input gradient, `x.mean` / `x.var`
+for training-mode batchnorm, `(x - mean) / std * gamma + beta` for
+inference-mode batchnorm, a loop over channels and
+`helpers.bn_training_backward_oracle` (one fresh array per term) for the
+batchnorm backward, one `_bn_forward` per probe for a grouped probe stack,
+and copies taken before the call for what batchnorm must never write.
+Example generation is derandomized, so every run checks the same cases.
 """
 
 import numpy as np
@@ -25,8 +28,8 @@ from cbnet import (
     upsample_nearest,
     upsample_nearest_backward,
 )
-from cbnet.engine import BN_EPS, BN_MOMENTUM, BatchNormLayer, _bn_forward, _im2col
-from helpers import im2col_oracle
+from cbnet.engine import BN_EPS, BN_MOMENTUM, BatchNormLayer, _bn_backward, _bn_forward, _im2col
+from helpers import bn_training_backward_oracle, col2im_oracle, im2col_oracle
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -143,6 +146,56 @@ def test_im2col_rejects_a_non_contiguous_input(view):
     assert np.array_equal(_im2col(x, 3, 2, 1)[0], im2col_oracle(x, 3, 2, 1)[0])
 
 
+@st.composite
+def col2im_cases(draw):
+    """(x, params, output gradient) with n in {1, 2, 3, 64}, c in 1..4,
+    k in {1, 3}, stride in {1, 2}, pad in {0, 1} and h, w from 1 (where the
+    window fits the padded map) to 9: odd sizes leave rows and columns
+    that no window reaches, and a padded 3x3 window over a 1- or 2-pixel
+    side has whole tap rows or columns in the padding."""
+    k = draw(st.sampled_from([1, 3]))
+    n, c = draw(st.sampled_from([1, 2, 3, 64])), draw(st.integers(1, 4))
+    stride, pad = draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, 1]))
+    h, w = draw(st.integers(max(1, k - 2 * pad), 9)), draw(st.integers(max(1, k - 2 * pad), 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _col2im_case(rng, n, c, h, w, k, stride, pad)
+
+
+def _col2im_case(rng, n, c, h, w, k, stride, pad):
+    c_out = int(rng.integers(1, 4))
+    p = ConvParams(rng.standard_normal((c_out, c, k, k)), rng.standard_normal(c_out),
+                   stride=stride, pad=pad)
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    return rng.standard_normal((n, c, h, w)), p, rng.standard_normal((n, c_out, oh, ow))
+
+
+def _check_col2im(x, p, g):
+    n, c, h, w = x.shape
+    k, (oh, ow) = p.kernel, g.shape[2:]
+    gcols = np.matmul(p.weight.data.reshape(p.c_out, -1).T, g.reshape(n, p.c_out, oh * ow))
+    want = col2im_oracle(gcols.reshape(n, c, k, k, oh, ow), x.shape, p.stride, p.pad)
+    grad_in = conv2d_backward(Tensor4(x), p, g)[0]
+    assert grad_in.shape == x.shape and grad_in.flags.c_contiguous
+    assert np.array_equal(grad_in, want)
+    assert grad_in.tobytes() == want.tobytes()  # signed zeros too
+
+
+@PROPERTY
+@given(col2im_cases())
+def test_conv_input_gradient_equals_padded_col2im_oracle(case):
+    _check_col2im(*case)
+
+
+@pytest.mark.parametrize("h, w, stride", [(1, 1, 1), (1, 1, 2), (1, 4, 1), (2, 2, 2),
+                                          (2, 5, 2), (4, 3, 2)])
+def test_conv_input_gradient_where_whole_taps_fall_in_the_padding(h, w, stride):
+    # a 3x3 window at pad 1: on a 1-pixel side taps 0 and 2 read only padding,
+    # at stride 2 on a 2-pixel side tap 2 does, and a 4-pixel side at stride
+    # 2 ends in a row that tap 2 reaches and no other
+    rng = np.random.default_rng(h * 10 + w + stride)
+    _check_col2im(*_col2im_case(rng, 3, 2, h, w, 3, stride, 1))
+
+
 @PROPERTY
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
        st.integers(0, 2 ** 32 - 1))
@@ -212,7 +265,11 @@ def test_batchnorm_writes_neither_its_input_nor_its_recorded_xhat(groups, n, c, 
     layer = BatchNormLayer(p)
     y, ctx = layer.forward(inp)
     assert np.array_equal(inp.data, x0)
-    xhat = ctx[1][2]
+    if mode == "inference":  # no normalized copy is recorded, only x itself
+        assert ctx[0] is inp and ctx[1] is None
+        xhat = inp.data
+    else:
+        xhat = ctx[1][2]
     recorded = xhat.copy()
     for _ in range(2):
         assert np.array_equal(layer.rerun(ctx), y.data)
@@ -220,6 +277,77 @@ def test_batchnorm_writes_neither_its_input_nor_its_recorded_xhat(groups, n, c, 
         layer.backward(ctx, rng.standard_normal(x.shape))
     assert np.array_equal(xhat, recorded)
     assert np.array_equal(inp.data, x0)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_inference_batchnorm_is_one_scale_and_shift(n, c, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x, p = _bn_case(rng, n, c, h, w, "inference")
+    layer = BatchNormLayer(p)
+    y, ctx = layer.forward(Tensor4(x))
+    istd = 1.0 / np.sqrt(p.running_var + BN_EPS)
+    s = p.gamma * istd
+    t = p.beta - p.running_mean * s
+    assert np.array_equal(y.data, x * s[None, :, None, None] + t[None, :, None, None])
+    # the normalize-then-affine form, up to rounding of the largest term
+    want = ((x - p.running_mean[None, :, None, None]) * istd[None, :, None, None]
+            * p.gamma[None, :, None, None] + p.beta[None, :, None, None])
+    big = np.abs(x).max() * np.abs(s).max() + np.abs(t).max()
+    np.testing.assert_allclose(y.data, want, rtol=1e-14, atol=1e-14 * big)
+    # rerun maps the recorded input with the current gamma and beta
+    p.gamma += rng.uniform(0.1, 0.5, c)
+    p.beta -= 0.5
+    assert np.array_equal(layer.rerun(ctx), layer.forward(Tensor4(x))[0].data)
+    assert not np.array_equal(layer.rerun(ctx), y.data)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_inference_batchnorm_at_init_values_is_the_normalize_then_affine_form(n, c, h, w, seed):
+    # gamma 1, beta 0, mean 0, var 1, as every net is built: no rounding moves
+    x = np.random.default_rng(seed).standard_normal((n, c, h, w))
+    x.flat[0] = -0.0
+    p = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
+    istd = (1.0 / np.sqrt(p.running_var + BN_EPS))[None, :, None, None]
+    want = ((x - p.running_mean[None, :, None, None]) * istd * p.gamma[None, :, None, None]
+            + p.beta[None, :, None, None])
+    assert batchnorm(Tensor4(x), p).data.tobytes() == want.tobytes()
+
+
+def _check_bn_training_backward(x, p, rng):
+    layer = BatchNormLayer(p)
+    inp = Tensor4(x)
+    _, ctx = layer.forward(inp)
+    g = rng.standard_normal(x.shape)
+    saved = [a.copy() for a in (x, g, ctx[1][2])]
+    want = bn_training_backward_oracle(x, p, g, ctx[1])
+    for got in (_bn_backward(x, p, g, ctx[1]), batchnorm_backward(inp, p, g)):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    # AddLayer hands one gradient array to both its inputs: no backward writes it
+    layer.backward(ctx, g)
+    for a, before in zip((x, g, ctx[1][2]), saved):
+        assert np.array_equal(a, before)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_training_batchnorm_backward_equals_term_by_term_oracle(n, c, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x, p = _bn_case(rng, n, c, h, w, "training")
+    _check_bn_training_backward(x, p, rng)
+
+
+@pytest.mark.parametrize("c, hw", [(8, 32), (16, 16), (32, 8), (64, 4), (128, 2)])
+def test_training_batchnorm_backward_on_train_step_shapes(c, hw):
+    # the batch-4 batchnorm inputs of the default spec's five stages
+    rng = np.random.default_rng(c)
+    x, p = _bn_case(rng, 4, c, hw, hw, "training")
+    _check_bn_training_backward(x, p, rng)
 
 
 @PROPERTY
