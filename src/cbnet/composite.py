@@ -415,13 +415,16 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     restores that anyway.  Each chunk's probes replay the recorded tape
     as one stack (`Tape.replay`, which finds the steps that read the
     probed array): the stem runs once on a stack of perturbed images, and
-    a conv or batchnorm that reads a probed parameter reruns per probe
-    from its recorded columns or normalized input (its forward runs per
-    probe only if it hides its params, when every step counts as a
-    reader, or is shared and an earlier reader stacked its input).  Ops
-    that do not depend on the perturbed array keep their recorded
-    outputs, which is exactly what a fresh forward would compute, since
-    training-mode batchnorm outputs do not depend on the running stats.
+    a conv or batchnorm that reads a probed parameter reruns from its
+    recorded columns or normalized input, once per sub-stack of probes
+    whose copies of the array fit `engine._VARIANT_BYTES` (one probe at a
+    time, written into the array itself, when one copy does not).  Its
+    forward runs per probe only if it hides its params, when every step
+    counts as a reader, or is shared and an earlier reader stacked its
+    input.  Ops that do not depend on the perturbed array keep their
+    recorded outputs, which is exactly what a fresh forward would compute,
+    since training-mode batchnorm outputs do not depend on the running
+    stats.
     """
     snapshot = [(a, a.copy()) for p in net.bn_params() for a in (p.running_mean, p.running_var)]
     snapshot += [(grad, grad.copy()) for _, _, grad in net.unique_learnables()]

@@ -23,6 +23,7 @@ BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 _FD_STEP = 1e-5  # central-difference step of the gradient checks
 _PROBE_CHUNK = 32  # elements a gradient check probes per `losses` call, two probes each
+_VARIANT_BYTES = 256 * 1024  # most bytes of one rerun's copies of a probed array
 _MAX_PROBE_WORKERS = 4  # most processes one gradient check runs its chunks in
 
 
@@ -307,31 +308,33 @@ def _bn_forward(x, p, group=None):
     group by group and never folds into the running statistics, and None
     in inference mode, which records no normalized copy."""
     if p.mode == "inference":
-        return _bn_scale_shift(x, p), None
+        return _bn_scale_shift(x, p, p.gamma, p.beta), None
     mu, var, istd, xhat = _bn_normalize(x, p, group)
     if group is None:
         p.running_mean *= BN_MOMENTUM
         p.running_mean += (1.0 - BN_MOMENTUM) * mu[0]
         p.running_var *= BN_MOMENTUM
         p.running_var += (1.0 - BN_MOMENTUM) * var[0]
-    return _bn_affine(xhat, p), (mu, istd, xhat)
+    return _bn_affine(xhat, p.gamma, p.beta), (mu, istd, xhat)
 
 
-def _bn_scale_shift(x, p):
+def _bn_scale_shift(x, p, gamma, beta):
     """Inference batchnorm as one per-channel linear map, x·s + t with
     s = gamma/std and t = beta − mean·s from the running estimates, in a
     fresh array; x is never written.  (Adding t in place was no faster in
-    an eval pass and left the process ~3 MB more peak RSS.)"""
+    an eval pass and left the process ~3 MB more peak RSS.)  gamma and
+    beta are (c,), or a (b, c) stack of both that gives (b, *x.shape)."""
     _bn_check(x, p)
-    scale = p.gamma * (1.0 / np.sqrt(p.running_var + BN_EPS))
-    shift = p.beta - p.running_mean * scale
-    return x * scale[None, :, None, None] + shift[None, :, None, None]
+    scale = gamma * (1.0 / np.sqrt(p.running_var + BN_EPS))
+    shift = beta - p.running_mean * scale
+    return x * scale[..., None, :, None, None] + shift[..., None, :, None, None]
 
 
-def _bn_affine(xhat, p):
-    """gamma * xhat + beta in a fresh array; xhat is never written."""
-    y = xhat * p.gamma[None, :, None, None]
-    y += p.beta[None, :, None, None]
+def _bn_affine(xhat, gamma, beta):
+    """gamma * xhat + beta in a fresh array; xhat is never written.  gamma
+    and beta are (c,), or a (b, c) stack of both that gives (b, *xhat.shape)."""
+    y = xhat * gamma[..., None, :, None, None]
+    y += beta[..., None, :, None, None]
     return y
 
 
@@ -462,13 +465,22 @@ class Conv2dLayer:
         y, cols = _conv_forward(x.data, self.params)
         return Tensor4(y), (x, cols)
 
-    def rerun(self, ctx):
-        """forward's output array on its recorded input, from the recorded
-        columns and the current weight and bias: no im2col."""
+    def rerun(self, ctx, arr, variants):
+        """forward's output arrays on its recorded input, (b, *y.dims), one
+        per variant of arr (the weight or the bias) in the (b, *arr.shape)
+        `variants`, from the recorded columns: no im2col.  Each is the
+        forward's own gemm, so bit for bit the output of the forward with
+        that variant written into arr."""
         x, cols = ctx
         n, _, h, w = x.dims
         p = self.params
-        return _conv_gemm(cols, p, n, *_conv_out_hw(h, w, p.kernel, p.stride, p.pad))
+        if arr is p.bias:  # the recorded weight's one gemm, b biases added
+            y = np.matmul(p.weight.data.reshape(p.c_out, -1), cols) + variants[:, None, :, None]
+        else:
+            y = np.matmul(variants.reshape(len(variants), 1, p.c_out, -1), cols)
+            y += p.bias[:, None]
+        return y.reshape(len(variants), n, p.c_out,
+                         *_conv_out_hw(h, w, p.kernel, p.stride, p.pad))
 
     def backward(self, ctx, grad_out):
         x, cols = ctx
@@ -486,15 +498,19 @@ class BatchNormLayer:
         y, cache = _bn_forward(x.data, self.params, x.group)
         return Tensor4(y), (x, cache)
 
-    def rerun(self, ctx):
-        """forward's output array on its recorded input with the current
-        gamma and beta; no running statistic moves.  Training mode reads
-        the recorded normalized input, so the statistics forward used;
-        inference mode maps the recorded input again."""
+    def rerun(self, ctx, arr, variants):
+        """forward's output arrays on its recorded input, (b, *y.dims), one
+        per variant of arr (gamma or beta) in the (b, c) `variants`; no
+        running statistic moves.  Training mode reads the recorded
+        normalized input, so the statistics forward used; inference mode
+        maps the recorded input again."""
         x, cache = ctx
+        p = self.params
+        gamma = variants if arr is p.gamma else np.broadcast_to(p.gamma, variants.shape)
+        beta = variants if arr is p.beta else np.broadcast_to(p.beta, variants.shape)
         if cache is None:
-            return _bn_scale_shift(x.data, self.params)
-        return _bn_affine(cache[2], self.params)
+            return _bn_scale_shift(x.data, p, gamma, beta)
+        return _bn_affine(cache[2], gamma, beta)
 
     def backward(self, ctx, grad_out):
         x, cache = ctx
@@ -578,17 +594,22 @@ class Tape:
 
         An input tensor of the pass that holds arr (the image) starts as
         a stack of its P perturbed copies.  A step whose layer's params
-        hold arr runs once per probe: by `layer.rerun` from its recorded
-        context when its inputs are the recorded ones (no im2col, no
-        batchnorm statistic moves), else by `forward` on the probe's
-        n-sample slice of its inputs (a shared layer whose input is
-        already stacked).  When neither a tensor nor any step's params
-        hold arr, the layers that read it hide their params (a wrapping
-        layer may), so every step counts as a reader and runs per probe.  A step
-        that reads a stacked output runs once on the stack, its unchanged
-        operands repeated P times; every stack's `group` is n, so training
-        batchnorm normalizes each probe on its own.  Other steps keep
-        their recorded outputs.
+        hold arr reruns from its recorded context when its inputs are the
+        recorded ones (`layer.rerun`: no im2col, no batchnorm statistic
+        moves), for sub-stacks of b = max(1, min(P, _VARIANT_BYTES //
+        arr.nbytes)) probes: each a copy of arr with its probe's element
+        set, arr never written, or, when b is 1, arr itself with the probe
+        written in place and restored, so a large arr is never copied.
+        Otherwise it runs `forward` per probe on the probe's n-sample
+        slice of its inputs (a shared layer whose input is already
+        stacked, or a layer without `rerun`).  When neither a tensor nor
+        any step's params hold arr, the layers that read it hide their
+        params (a wrapping layer may), so every step counts as a reader
+        and runs per probe.  A step that reads a stacked output runs once
+        on the stack, its unchanged operands repeated P times; every
+        stack's `group` is n, so training batchnorm normalizes each probe
+        on its own.  Other steps keep their recorded outputs, and when no
+        input tensor holds arr the walk starts at the first reader.
 
         Returns {recorded output: stacked output} for the outputs in
         `keep`; any other stacked output is dropped after its last reader.
@@ -611,11 +632,11 @@ class Tape:
         stacked = {}
         for t in last:
             if t.data is arr:
-                index, values = zip(*probes)
-                stacked[t] = Tensor4(np.tile(arr, (P, 1, 1, 1)))
-                stacked[t].data.reshape(P, -1)[range(P), index] = values
+                stacked[t] = Tensor4(_probe_copies(arr, probes).reshape(-1, *arr.shape[1:]))
                 stacked[t].group = len(arr)
         readers = holders.get(id(arr)) or (() if stacked else range(len(self.steps)))
+        # with no stacked input, nothing before the first reader changes
+        first = 0 if stacked else min(readers, default=0)
 
         def probe_slice(t, p):
             st = stacked.get(t)
@@ -624,19 +645,27 @@ class Tape:
             n = len(t.data)
             return Tensor4(st.data[p * n:(p + 1) * n])
 
-        for s, (layer, xs, y, ctx) in enumerate(self.steps):
+        for s in range(first, len(self.steps)):
+            layer, xs, y, ctx = self.steps[s]
             is_stacked = any(x in stacked for x in xs)
             if s in readers and not any(x.data is arr for x in xs):
                 rerun = None if is_stacked else getattr(layer, "rerun", None)
+                b = max(1, min(P, _VARIANT_BYTES // arr.nbytes)) if rerun else 1
                 out = np.empty((P, *y.dims))
-                for p, (i, v) in enumerate(probes):
-                    orig = arr.flat[i]
-                    arr.flat[i] = v
+                for lo in range(0, P, b):
+                    part = probes[lo:lo + b]
+                    if b == 1:  # the probe is written into arr, so a large arr is never copied
+                        (i, v), = part
+                        orig, arr.flat[i] = arr.flat[i], v
                     try:
-                        out[p] = rerun(ctx) if rerun else layer.forward(
-                            *(probe_slice(x, p) for x in xs))[0].data
+                        if rerun is None:
+                            out[lo] = layer.forward(*(probe_slice(x, lo) for x in xs))[0].data
+                        else:  # b > 1: a copy of arr per probe, and arr is never written
+                            out[lo:lo + b] = rerun(
+                                ctx, arr, arr[None] if b == 1 else _probe_copies(arr, part))
                     finally:
-                        arr.flat[i] = orig
+                        if b == 1:
+                            arr.flat[i] = orig
                 out = Tensor4(out.reshape(-1, *y.dims[1:]))
             elif is_stacked:
                 out, _ = layer.forward(*(
@@ -667,6 +696,15 @@ class Tape:
                 for x, gx in zip(xs, layer.backward(ctx, grads.pop(y))):
                     add(x, gx)
         self.grads = grads
+
+
+def _probe_copies(arr, probes):
+    """(len(probes), *arr.shape): a copy of arr per (i, v) probe, with its
+    element i set to v."""
+    index, values = zip(*probes)
+    copies = np.repeat(arr[None], len(probes), axis=0)
+    copies.reshape(len(probes), -1)[range(len(probes)), index] = values
+    return copies
 
 
 def _usable_cpus():

@@ -696,6 +696,102 @@ def test_replay_reruns_parameter_readers_from_their_recorded_context(monkeypatch
         assert np.array_equal(p.running_mean, mean) and np.array_equal(p.running_var, var)
 
 
+def _lead_parameter_readers():
+    """A recorded training forward of a 2-dhlc TOY_SPEC net, and for each
+    parameter `_perturbed_arrays` names, (what, arr, the one layer that
+    reads it)."""
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.DHLC,
+                                  spec=TOY_SPEC), 31)
+    image = helpers.random_image(TOY_SPEC, 32)
+    set_mode(net, "training")
+    tape = Tape()
+    pyramid = net.forward(image, tape)
+    cases = []
+    for what, arr in _perturbed_arrays(net, image)[1:]:
+        (reader,) = [layer for layer, _, _, _ in tape.steps if hasattr(layer, "params") and any(
+            value is arr for _, value, _ in layer.params.learnables())]
+        cases.append((what, arr, reader))
+    return net, image, tape, pyramid, cases
+
+
+@pytest.mark.parametrize("b", [1, 3, 7, 10])
+def test_replay_reruns_a_reader_once_per_sub_stack_the_variant_bound_allows(b, monkeypatch):
+    # P = 7 probes in sub-stacks of b = _VARIANT_BYTES // arr.nbytes, capped at P
+    net, image, tape, pyramid, cases = _lead_parameter_readers()
+    n = image.dims[0]
+    for what, arr, reader in cases:
+        probes = [(i % arr.size, arr.flat[i % arr.size] + 0.125 * (i + 1)) for i in range(7)]
+        orig = arr.copy()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_VARIANT_BYTES", b * arr.nbytes)
+            calls = _count_runs(m, tape)
+            stacked = tape.replay(arr, probes, pyramid.levels)
+        assert calls.count(reader) == -(-len(probes) // min(b, len(probes))), what
+        assert np.array_equal(arr, orig), what
+        for p, (i, v) in enumerate(probes):
+            arr.flat[i] = v
+            expected = [lvl.data for lvl in net.forward(image, Tape()).levels]
+            arr[...] = orig
+            replayed = [stacked[lvl].data[p * n:(p + 1) * n] if lvl in stacked else lvl.data
+                        for lvl in pyramid.levels]
+            assert all(np.array_equal(got, want) for got, want in zip(replayed, expected)), \
+                (what, p)
+
+
+@pytest.mark.parametrize("over", [True, False], ids=["over-the-bound", "under-the-bound"])
+def test_replay_variants_are_arr_itself_only_over_the_bound(over, monkeypatch):
+    # over the bound, one variant per rerun: arr[None], the probe written into
+    # arr and taken back out; under it, a copy per probe and arr never written
+    _, _, tape, pyramid, cases = _lead_parameter_readers()
+    for what, arr, reader in cases:
+        probes = [(0, arr.flat[0] + 0.5), (arr.size - 1, arr.flat[-1] - 0.25)]
+        orig = arr.copy()
+        seen = []
+        rerun = type(reader).rerun
+
+        def spy(self, ctx, a, variants):
+            if self is reader:
+                seen.append((np.shares_memory(variants, arr), arr.copy(), variants.copy()))
+            return rerun(self, ctx, a, variants)
+
+        monkeypatch.setattr(engine, "_VARIANT_BYTES", arr.nbytes - 1 if over else 2 * arr.nbytes)
+        monkeypatch.setattr(type(reader), "rerun", spy)
+        tape.replay(arr, probes, pyramid.levels)
+        assert np.array_equal(arr, orig), what
+        if over:
+            assert len(seen) == len(probes), what
+            for (shared, at_call, variants), (i, v) in zip(seen, probes):
+                assert shared and np.array_equal(variants[0], at_call), what
+                at_call.flat[i] = orig.flat[i]
+                assert variants[0].flat[i] == v and np.array_equal(at_call, orig), what
+        else:
+            ((shared, at_call, variants),) = seen
+            assert not shared and np.array_equal(at_call, orig), what
+            for row, (i, v) in zip(variants, probes):
+                assert row.flat[i] == v, what
+                row.flat[i] = orig.flat[i]
+                assert np.array_equal(row, orig), what
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("over", [True, False], ids=["over-the-bound", "under-the-bound"])
+def test_replay_restores_arr_when_a_rerun_raises(over, monkeypatch):
+    _, _, tape, pyramid, cases = _lead_parameter_readers()
+    for what, arr, reader in cases:
+        probes = [(0, arr.flat[0] + 0.5), (arr.size - 1, arr.flat[-1] - 0.25)]
+        orig = arr.copy()
+
+        def failing(self, ctx, a, variants):
+            raise RuntimeError("rerun failed")
+
+        monkeypatch.setattr(engine, "_VARIANT_BYTES", arr.nbytes - 1 if over else 2 * arr.nbytes)
+        monkeypatch.setattr(type(reader), "rerun", failing)
+        with pytest.raises(RuntimeError, match="^rerun failed$"):
+            tape.replay(arr, probes, pyramid.levels)
+        assert np.array_equal(arr, orig), what
+        monkeypatch.undo()
+
+
 GRADCHECK_CONFIGS = [
     dict(num_backbones=2, style=CompositeStyle.DHLC),
     dict(num_backbones=3, style=CompositeStyle.AHLC, share_weights=True),

@@ -521,6 +521,36 @@ def test_tensor4_requires_four_dims():
 # -- a layer's rerun from its recorded context --------------------------------
 
 
+def _check_variant_reruns(layer, x, moves):
+    """rerun from one recorded forward: arr itself gives the recorded y, and
+    row j of a stack of b in {2, 5} variants of each learnable equals
+    forward with variant j written into arr, after `moves` shifts every
+    learnable, so the rerun must read the others' current values too.  No
+    rerun writes arr, a running statistic or the recorded ctx."""
+    rng = np.random.default_rng(14)
+    p = layer.params
+    y, ctx = layer.forward(x)
+    x_in, saved = ctx
+    recorded = [x_in.data, *(() if saved is None else saved if isinstance(saved, tuple)
+                             else (saved,))]
+    for _, arr, _ in p.learnables():
+        assert np.array_equal(layer.rerun(ctx, arr, arr[None]), y.data[None])
+    for (_, arr, _), move in zip(p.learnables(), moves):
+        arr += move
+    stats = [getattr(p, name) for name in ("running_mean", "running_var") if hasattr(p, name)]
+    for name, arr, _ in p.learnables():
+        stacks = [arr + rng.uniform(-0.5, 0.5, (b, *arr.shape)) for b in (2, 5)]
+        before = [a.copy() for a in (arr, *stats, *recorded)]
+        got = [layer.rerun(ctx, arr, variants) for variants in stacks]
+        assert all(np.array_equal(a, b) for a, b in zip((arr, *stats, *recorded), before)), name
+        for variants, rows in zip(stacks, got):
+            assert rows.shape == (len(variants), *y.dims)
+            for j, variant in enumerate(variants):
+                arr[...] = variant
+                assert np.array_equal(rows[j], layer.forward(x)[0].data), (name, j)
+                arr[...] = before[0]
+
+
 @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)],
                          ids=["3x3", "3x3-stride-2", "1x1"])
 def test_conv_rerun_equals_forward_with_the_current_params(k, stride, pad):
@@ -528,11 +558,9 @@ def test_conv_rerun_equals_forward_with_the_current_params(k, stride, pad):
     x = Tensor4(rng.standard_normal((2, 3, 6, 6)))
     layer = Conv2dLayer(ConvParams(rng.standard_normal((4, 3, k, k)), rng.standard_normal(4),
                                    stride=stride, pad=pad))
-    y, ctx = layer.forward(x)
-    assert np.array_equal(layer.rerun(ctx), y.data)
-    layer.params.weight.data.flat[5] += 0.25
-    layer.params.bias[1] -= 0.5
-    assert np.array_equal(layer.rerun(ctx), layer.forward(x)[0].data)
+    weight_move = np.zeros_like(layer.params.weight.data)
+    weight_move.flat[5] = 0.25
+    _check_variant_reruns(layer, x, (weight_move, np.array([0.0, -0.5, 0.0, 0.0])))
 
 
 @pytest.mark.parametrize("mode", ["training", "inference"])
@@ -542,12 +570,4 @@ def test_bn_rerun_equals_forward_with_the_current_params(mode):
     layer = BatchNormLayer(BatchNormParams(
         rng.uniform(0.5, 1.5, 3), rng.standard_normal(3), rng.standard_normal(3),
         rng.uniform(0.5, 2.0, 3), mode=mode))
-    y, ctx = layer.forward(x)
-    stats = (layer.params.running_mean.copy(), layer.params.running_var.copy())
-    assert np.array_equal(layer.rerun(ctx), y.data)
-    layer.params.gamma[0] += 0.25
-    layer.params.beta[2] -= 0.5
-    rerun = layer.rerun(ctx)
-    assert np.array_equal(layer.params.running_mean, stats[0])
-    assert np.array_equal(layer.params.running_var, stats[1])
-    assert np.array_equal(rerun, layer.forward(x)[0].data)
+    _check_variant_reruns(layer, x, (np.array([0.25, 0.0, 0.0]), np.array([0.0, 0.0, -0.5])))

@@ -271,8 +271,9 @@ def test_batchnorm_writes_neither_its_input_nor_its_recorded_xhat(groups, n, c, 
     else:
         xhat = ctx[1][2]
     recorded = xhat.copy()
-    for _ in range(2):
-        assert np.array_equal(layer.rerun(ctx), y.data)
+    for _, arr, _ in p.learnables():  # arr itself, then a copied stack of it
+        for variants in (arr[None], np.repeat(arr[None], 2, axis=0)):
+            assert all(np.array_equal(row, y.data) for row in layer.rerun(ctx, arr, variants))
     if not stacked:  # a probe stack is only ever rerun
         layer.backward(ctx, rng.standard_normal(x.shape))
     assert np.array_equal(xhat, recorded)
@@ -299,8 +300,10 @@ def test_inference_batchnorm_is_one_scale_and_shift(n, c, h, w, seed):
     # rerun maps the recorded input with the current gamma and beta
     p.gamma += rng.uniform(0.1, 0.5, c)
     p.beta -= 0.5
-    assert np.array_equal(layer.rerun(ctx), layer.forward(Tensor4(x))[0].data)
-    assert not np.array_equal(layer.rerun(ctx), y.data)
+    for _, arr, _ in p.learnables():
+        (rerun,) = layer.rerun(ctx, arr, arr[None])
+        assert np.array_equal(rerun, layer.forward(Tensor4(x))[0].data)
+        assert not np.array_equal(rerun, y.data)
 
 
 @PROPERTY
