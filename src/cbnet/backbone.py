@@ -25,6 +25,7 @@ from .engine import (
     ShapeError,
     Tape,
     Tensor4,
+    as_int,
     is_int,
 )
 
@@ -254,7 +255,7 @@ def build_backbone(spec: BackboneSpec, seed: int, first_stage: int = 1) -> Backb
     seed, biases zero, batchnorm at gamma=1 beta=0 with running stats (0, 1)."""
     if first_stage < 1 or first_stage > spec.num_stages:
         raise ConfigError(f"first_stage {first_stage} out of range")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "build_backbone seed"))
     stem = None
     if first_stage == 1:
         stem = Stem(_init_conv(rng, spec.in_channels, spec.stem_channels, 3, 1, 1),

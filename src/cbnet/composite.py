@@ -219,7 +219,7 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
     accelerated assistant shares the lead's stage objects); connections get
     independent parameters either way.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "build_cbnet seed"))
     bseeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=cfg.num_backbones)]
     spec = cfg.spec
     runs = _stage_runs(cfg)
@@ -428,7 +428,7 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     """
     snapshot = [(a, a.copy()) for p in net.bn_params() for a in (p.running_mean, p.running_var)]
     snapshot += [(grad, grad.copy()) for _, _, grad in net.unique_learnables()]
-    rng = np.random.default_rng(loss_seed)
+    rng = np.random.default_rng(as_int(loss_seed, "model_gradcheck loss_seed"))
     with set_mode(net, "training"):
         try:
             for _, _, grad in net.unique_learnables():

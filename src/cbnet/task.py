@@ -10,7 +10,6 @@ cross-entropy over cells plus class cross-entropy, unit weights.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ NET_SEED, HEAD_SEED, DATA_SEED, SGD_SEED = 0, 1, 2, 3
 
 
 def sub_seed(seed, role):
-    return int(seed) + role
+    return as_int(seed, "sub_seed seed") + role
 
 
 class TrainingDivergedError(RuntimeError):
@@ -55,7 +54,7 @@ def render_sample(seed, image_size=64):
         raise ConfigError(f"image size {size} not divisible by {GRID_STRIDE}")
     if size < MIN_IMAGE_SIZE:
         raise ConfigError(f"image size {size} is below the minimum {MIN_IMAGE_SIZE}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "render_sample seed"))
     image = rng.uniform(0.0, 0.35, size=(3, size, size))
     label = int(rng.integers(0, 3))
     half = int(rng.integers(5, 11))
@@ -86,6 +85,7 @@ def render_sample(seed, image_size=64):
 
 def gen_dataset(seed, n, image_size=64):
     """n independent samples; sample i is drawn from seed + i."""
+    seed = as_int(seed, "gen_dataset seed")
     if as_int(n, "gen_dataset n") < 1:
         raise ConfigError(f"dataset size must be >= 1, got {n}")
     return [render_sample(seed + i, image_size)[0] for i in range(n)]
@@ -113,7 +113,7 @@ class Head(Module):
 
 
 def build_head(spec: BackboneSpec, seed) -> Head:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "build_head seed"))
     obj = _init_conv(rng, spec.stage_out_channels(2), 1, 1, stride=1, pad=0)
     cls = _init_conv(rng, spec.stage_out_channels(spec.num_stages), 3, 1, stride=1, pad=0)
     return Head(obj, cls)
@@ -209,7 +209,7 @@ def train(net: CBNet, head: Head, dataset, steps, lr, seed) -> TrainLog:
     params = list(WithHead(net, head).unique_learnables())
     grad_seen = {name: False for name, _, _ in params}
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "train seed"))
     order = []
     losses = []
     with set_mode(net, "training"):
@@ -270,64 +270,39 @@ def metrics_from_predictions(pred_grids, true_grids, pred_labels, true_labels):
     return {"cell_f1": f1, "class_accuracy": hits / len(true_labels)}
 
 
-def _logits(net: CBNet, head: Head, samples):
-    """(objectness, class) logit arrays of `samples`, from forward-only
-    passes over up to `engine._usable_cpus()` contiguous slices of them,
-    concatenated in slice order.
+def _logits(net: CBNet, head: Head, samples, chunk):
+    """(objectness, class) logits of `samples`, in order, from a pool of
+    W = min(`engine._usable_cpus()`, chunk, len(samples)) threads that run
+    slices of min(chunk, len(samples)) // W samples on tapes that record
+    nothing.  In inference mode no sample's logits depend on its slice:
+    batchnorm reads its running statistics, convs run one gemm per sample."""
+    from concurrent.futures import ThreadPoolExecutor  # here, as it pulls in logging (3 ms)
+    w = min(engine._usable_cpus(), chunk, len(samples))
+    size = min(chunk, len(samples)) // w
 
-    The caller's thread runs the first slice and one thread per other
-    slice runs the rest; every thread is joined before this returns or
-    raises, and the first error in slice order is raised unchanged.  The
-    net must be in inference mode: a forward then mutates nothing, and a
-    sample's logits do not depend on the samples that share its batch
-    (batchnorm reads its running statistics, and convs run one gemm per
-    sample), so the split changes no bit.
-    """
-    w = min(engine._usable_cpus(), len(samples))
-    bounds = [len(samples) * i // w for i in range(w + 1)]
-    outs = [None] * w
+    def run(start):
+        images, _, _ = _batch(samples[start:start + size])
+        tape = Tape()
+        tape.recording = False
+        objectness, logits = head.forward(tape, net.forward(images, tape))
+        return objectness.data, logits.data
 
-    def run(i):
-        try:
-            images, _, _ = _batch(samples[bounds[i]:bounds[i + 1]])
-            tape = Tape()
-            tape.recording = False
-            objectness, logits = head.forward(tape, net.forward(images, tape))
-            outs[i] = objectness.data, logits.data
-        except BaseException as exc:  # raised below, once every thread is joined
-            outs[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, w)]
-    try:
-        for t in threads:
-            t.start()
-        run(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    for out in outs:
-        if isinstance(out, BaseException):
-            raise out
+    with ThreadPoolExecutor(w) as pool:
+        outs = list(pool.map(run, range(0, len(samples), size)))
     return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
 def evaluate(net: CBNet, head: Head, dataset, chunk=16) -> dict:
     """Inference-mode metrics, the mode scoped by `set_mode`: objectness
     thresholded at probability 0.5 (logit > 0), class by argmax with
-    first-index tie-break.  Each chunk is split across the CPUs (see
-    `_logits`), and its slices run on tapes that record nothing, so a
-    chunk keeps no activations or im2col buffers beyond the ops that
-    still need them, and `chunk` bounds the samples in flight.  An image
-    the spec rejects raises its ShapeError, naming the sample, up front."""
+    first-index tie-break, from `_logits`, with at most `chunk` samples in
+    flight.  An image the spec rejects raises its ShapeError, naming the
+    sample, up front."""
     _check_dataset(dataset, net.config.spec, "evaluate")
     if as_int(chunk, "evaluate chunk") < 1:
         raise ConfigError(f"evaluation chunk must be at least 1, got {chunk}")
-    pred_grids, pred_labels = [], []
     with set_mode(net, "inference"):
-        for start in range(0, len(dataset), chunk):
-            objectness, logits = _logits(net, head, dataset[start:start + chunk])
-            pred_grids.append(objectness[:, 0] > 0.0)
-            pred_labels += list(np.argmax(logits.reshape(len(logits), -1), axis=1))
-    return metrics_from_predictions(np.concatenate(pred_grids), [s.grid for s in dataset],
+        objectness, logits = _logits(net, head, dataset, chunk)
+    pred_labels = np.argmax(logits.reshape(len(logits), -1), axis=1)
+    return metrics_from_predictions(objectness[:, 0] > 0.0, [s.grid for s in dataset],
                                     pred_labels, [s.label for s in dataset])

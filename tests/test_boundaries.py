@@ -21,16 +21,18 @@ from cbnet import (
     Tensor4,
     build_backbone,
     build_cbnet,
+    build_head,
     evaluate,
     flop_count,
     force_zero_composites,
     gen_dataset,
     loss_and_grads,
+    model_gradcheck,
     set_mode,
     train,
     write_pgm,
 )
-from cbnet.task import build_task, render_sample
+from cbnet.task import build_task, render_sample, sub_seed
 
 
 def _conv(c_out=2, c_in=2, k=1, bias=None, **kw):
@@ -180,6 +182,36 @@ CASES = {
     "train steps a bool": (
         lambda: train(*_task(), steps=True, lr=0.1, seed=0),
         ConfigError, "train steps: expected an integer, got True"),
+    "sub_seed seed a float": (
+        lambda: sub_seed(2.7, 0),
+        ConfigError, "sub_seed seed: expected an integer, got 2.7"),
+    "sub_seed seed a bool": (
+        lambda: sub_seed(True, 1),
+        ConfigError, "sub_seed seed: expected an integer, got True"),
+    "render_sample seed a float": (
+        lambda: render_sample(2.5, 32),
+        ConfigError, "render_sample seed: expected an integer, got 2.5"),
+    "gen_dataset seed a float": (
+        lambda: gen_dataset(2.5, 2, 32),
+        ConfigError, "gen_dataset seed: expected an integer, got 2.5"),
+    "build_backbone seed a float": (
+        lambda: build_backbone(TOY_SPEC, 1.5),
+        ConfigError, "build_backbone seed: expected an integer, got 1.5"),
+    "build_cbnet seed a float": (
+        lambda: build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 2.5),
+        ConfigError, "build_cbnet seed: expected an integer, got 2.5"),
+    "build_cbnet seed a bool": (
+        lambda: build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), False),
+        ConfigError, "build_cbnet seed: expected an integer, got False"),
+    "build_head seed a bool": (
+        lambda: build_head(TOY_SPEC, True),
+        ConfigError, "build_head seed: expected an integer, got True"),
+    "train seed a float": (
+        lambda: train(*_task(), steps=1, lr=0.1, seed=0.5),
+        ConfigError, "train seed: expected an integer, got 0.5"),
+    "model_gradcheck loss seed a float": (
+        lambda: model_gradcheck(_toy_net(), Tensor4(np.zeros((1, 3, 16, 16))), loss_seed=1.5),
+        ConfigError, "model_gradcheck loss_seed: expected an integer, got 1.5"),
     "bn beta shape": (
         lambda: _bn(beta=np.zeros(3)),
         ShapeError, "batchnorm beta shape (3,) != gamma shape (2,)"),

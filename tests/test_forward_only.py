@@ -4,12 +4,13 @@ run every layer on a tape that records nothing.
 Their outputs must equal a recording forward bit for bit, the tape must
 hold no step afterwards, and every op must still go through `Tape.run`
 on a tape made by calling the module's `Tape` name, which is how the
-benchmark's op tracer sees them.  `evaluate` splits each chunk into
-slices that run on threads; that must change no bit either.
+benchmark's op tracer sees them.  `evaluate` maps slices of its samples
+over a pool of threads; that must change no bit either.
 """
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -223,10 +224,39 @@ def test_split_logits_equal_a_serial_forward_bit_for_bit(monkeypatch, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        got = task._logits(net, head, data)
+        got = {chunk: task._logits(net, head, data, chunk) for chunk in (1, 3, 16, len(data))}
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(got[0], objectness.data) and np.array_equal(got[1], logits.data)
+    for chunk, (obj, cls) in got.items():
+        assert np.array_equal(obj, objectness.data) and np.array_equal(cls, logits.data), chunk
+
+
+@pytest.mark.parametrize("workers, chunk", [(2, 1), (3, 4), (3, 16), (8, 5)])
+def test_evaluate_keeps_at_most_chunk_samples_in_flight(monkeypatch, workers, chunk):
+    net, head, data = _eval_setup(n=9)
+    batch, forward = task._batch, head.forward
+    lock, mine = threading.Lock(), threading.local()
+    live, peak = [0], [0]
+
+    def counting_batch(samples):
+        with lock:
+            live[0] += len(samples)
+            peak[0] = max(peak[0], live[0])
+        mine.n = len(samples)
+        time.sleep(0.005)  # let the other slices start
+        return batch(samples)
+
+    def counting_forward(tape, pyramid):
+        out = forward(tape, pyramid)
+        with lock:
+            live[0] -= mine.n
+        return out
+
+    monkeypatch.setattr(task, "_batch", counting_batch)
+    monkeypatch.setattr(head, "forward", counting_forward)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: workers)
+    evaluate(net, head, data, chunk=chunk)
+    assert live[0] == 0 and 1 <= peak[0] <= chunk, peak
 
 
 def _wrong_size(data, *at):
