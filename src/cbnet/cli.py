@@ -43,7 +43,7 @@ from .task import (
     train,
 )
 from .viz import heatmap_channel_mean
-from .weights import load_weights, save_weights
+from .weights import is_regular_or_absent, load_weights, save_weights, write_atomic
 
 
 def _at_least(convert, low):
@@ -80,8 +80,7 @@ def _config(args, spec=None):
 def _ensure_outdir(path):
     os.makedirs(path, exist_ok=True)
     probe = os.path.join(path, ".write-test")
-    with open(probe, "wb"):
-        pass
+    write_atomic(probe, lambda fh: None)
     os.remove(probe)
 
 
@@ -115,7 +114,7 @@ def cmd_train(args):
     _ensure_outdir(args.out)
     weights_out = args.weights_out or os.path.join(args.out, "weights.cbnw")
     parent = os.path.dirname(weights_out) or "."
-    if (os.path.isdir(weights_out) or not os.path.isdir(parent)
+    if (not is_regular_or_absent(weights_out) or not os.path.isdir(parent)
             or not os.access(parent, os.W_OK)):
         raise ConfigError(f"cannot write weights to {weights_out!r}")
     net, head, dataset = build_task(cfg, args.seed, args.n)
@@ -123,10 +122,8 @@ def cmd_train(args):
         apply_state(net, load_weights(args.weights_in), head=head)
     log = train(net, head, dataset, args.steps, args.lr, sub_seed(args.seed, SGD_SEED))
     csv_path = os.path.join(args.out, "loss.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("step,loss\n")
-        for i, value in enumerate(log.losses):
-            fh.write(f"{i},{value!r}\n")
+    rows = "".join(f"{i},{value!r}\n" for i, value in enumerate(log.losses))
+    write_atomic(csv_path, lambda fh: fh.write(("step,loss\n" + rows).encode("ascii")))
     save_weights(dict(WithHead(net, head).state()), weights_out)
     print(f"wrote {csv_path}")
     print(f"wrote {weights_out}")

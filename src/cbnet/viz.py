@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import ShapeError, Tensor4
+from .weights import write_atomic
 
 
 def channel_mean(feature: Tensor4) -> np.ndarray:
@@ -17,7 +18,9 @@ def channel_mean(feature: Tensor4) -> np.ndarray:
 def normalize_gray(grid) -> np.ndarray:
     """Min-max scale to 0..255 (uint8); a constant grid maps to all zeros."""
     g = np.asarray(grid, dtype=np.float64)
-    lo, hi = g.min(), g.max()
+    lo, hi = g.min(), g.max()  # NaN propagates through both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("heatmap holds NaN or inf")
     if hi == lo:
         return np.zeros(g.shape, dtype=np.uint8)
     return np.rint((g - lo) * (255.0 / (hi - lo))).astype(np.uint8)
@@ -28,9 +31,8 @@ def write_pgm(gray, path):
     if gray.ndim != 2:
         raise ShapeError(f"PGM payload must be 2-d, got shape {gray.shape}")
     h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+    write_atomic(path, lambda fh: fh.write(f"P5\n{w} {h}\n255\n".encode("ascii")
+                                           + gray.tobytes()))
 
 
 def heatmap_channel_mean(feature: Tensor4, path) -> np.ndarray:

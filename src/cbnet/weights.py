@@ -28,14 +28,34 @@ class WeightFormatError(ValueError):
     """A CBNW file (or mapping destined for one) is malformed."""
 
 
+def is_regular_or_absent(path):
+    """Whether `path` is absent or a regular file, all a rename may replace."""
+    return os.path.isfile(path) or not os.path.exists(path)
+
+
+def write_atomic(path, write):
+    """Call `write(fh)` on a binary temporary file beside `path`, then rename it
+    over `path`: on any error the temporary file is removed and `path` is left as
+    it was.  Durability is the caller's: a `write` that must survive a crash fsyncs."""
+    if not is_regular_or_absent(path):
+        raise OSError(f"{os.fspath(path)!r} exists and is not a regular file")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_weights(named, path):
     """Write a name -> array mapping in insertion order.
 
-    Names, dims and finiteness are checked before anything is written,
-    and the bytes go to a temporary file beside `path` that replaces it
-    only once complete and fsynced: a failed save leaves no partial file
-    and an existing `path` untouched.
-    """
+    Names, dims and finiteness are checked before anything is written; the file
+    goes through `write_atomic`, fsynced before the rename (a checkpoint costs a
+    training run)."""
     entries = []
     for name, arr in named.items():
         raw = name.encode("utf-8")
@@ -47,25 +67,21 @@ def save_weights(named, path):
         if not np.isfinite(arr).all():
             raise WeightFormatError(f"tensor {name!r} holds NaN or inf")
         entries.append((raw, arr))
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(entries)))
-            for raw, arr in entries:
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", arr.ndim))
-                for d in arr.shape:
-                    fh.write(struct.pack("<I", d))
-                fh.write(arr.tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+
+    def write(fh):
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(entries)))
+        for raw, arr in entries:
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<B", arr.ndim))
+            for d in arr.shape:
+                fh.write(struct.pack("<I", d))
+            fh.write(arr.tobytes())
+        fh.flush()
+        os.fsync(fh.fileno())
+
+    write_atomic(path, write)
 
 
 class _Reader:

@@ -1,5 +1,7 @@
 import os
 import re
+import resource
+import stat
 import subprocess
 import sys
 
@@ -8,17 +10,18 @@ import pytest
 
 import helpers
 from cbnet import BackboneSpec, CBNetConfig, build_cbnet, save_weights, state_dict
-from cbnet.cli import NET_SEED, HEAD_SEED, sub_seed
+from cbnet.cli import NET_SEED, HEAD_SEED, main, sub_seed
 from cbnet.task import build_head
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "cbnet", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          preexec_fn=preexec_fn)
 
 
 def test_summarize_reports_connection_count():
@@ -211,3 +214,47 @@ def test_weights_out_directory_is_rejected_before_training(tmp_path):
     assert result.returncode == 1
     assert f"cannot write weights to {str(target)!r}" in result.stderr
     assert not (tmp_path / "run" / "loss.csv").exists()
+
+
+def test_weights_out_fifo_is_rejected_before_training(tmp_path):
+    target = tmp_path / "weights.fifo"
+    os.mkfifo(target)
+    result = run_cli("train", "--k", "1", "--steps", "1", "--n", "4",
+                     "--out", str(tmp_path / "run"), "--weights-out", str(target))
+    assert result.returncode == 1
+    assert f"cannot write weights to {str(target)!r}" in result.stderr
+    assert list((tmp_path / "run").iterdir()) == []
+    assert stat.S_ISFIFO(target.lstat().st_mode)
+
+
+def test_loss_csv_failing_rename_leaves_no_temp_file_and_keeps_destination(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "loss.csv").write_text("old\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == "loss.csv":
+            raise OSError("replace failed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["train", "--k", "1", "--steps", "2", "--n", "2", "--out", str(out)]) == 1
+    assert "replace failed" in capsys.readouterr().err
+    assert (out / "loss.csv").read_text() == "old\n"
+    assert [p.name for p in out.iterdir()] == ["loss.csv"]
+
+
+def test_train_under_a_file_size_limit_exits_1_and_leaves_no_partial_file(tmp_path):
+    # 300 loss rows come to more than 2,000 bytes, so loss.csv is the first write to fail
+    out = tmp_path / "run"
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (2000, 2000))
+
+    result = run_cli("train", "--k", "1", "--steps", "300", "--n", "4", "--out", str(out),
+                     preexec_fn=limit)
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert list(out.iterdir()) == []

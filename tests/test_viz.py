@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,38 @@ def test_heatmap_is_deterministic(tmp_path):
     heatmap_channel_mean(feature, a)
     heatmap_channel_mean(feature, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_map_is_rejected_before_any_file_is_written(tmp_path, bad):
+    grid = np.array([[0.0, 1.0], [bad, 2.0]])
+    with pytest.raises(ValueError, match="NaN or inf"):
+        normalize_gray(grid)
+    with pytest.raises(ValueError, match="NaN or inf"):
+        heatmap_channel_mean(Tensor4(grid.reshape(1, 1, 2, 2)), tmp_path / "x.pgm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pgm_failing_rename_leaves_no_temp_file_and_keeps_destination(tmp_path, monkeypatch):
+    path = tmp_path / "p.pgm"
+    write_pgm(np.array([[1, 2]], dtype=np.uint8), path)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        write_pgm(np.array([[3, 4], [5, 6]], dtype=np.uint8), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_pgm_refuses_a_directory_destination(tmp_path):
+    path = tmp_path / "p.pgm"
+    path.mkdir()
+    with pytest.raises(OSError, match="not a regular file"):
+        write_pgm(np.zeros((2, 2), dtype=np.uint8), path)
+    assert path.is_dir()
+    assert list(tmp_path.iterdir()) == [path]

@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import struct
 import tempfile
 
@@ -23,6 +24,7 @@ from cbnet import (
     state_dict,
 )
 from cbnet.composite import WeightsMismatch
+from cbnet.weights import write_atomic
 
 SMALL = BackboneSpec(num_stages=2, stem_channels=4, stage_channels=(4, 8),
                      image_size=(16, 16))
@@ -337,6 +339,31 @@ def test_save_syncs_complete_file_before_rename(tmp_path, monkeypatch):
     path = tmp_path / "w.cbnw"
     save_weights({"a": np.arange(6.0).reshape(2, 3)}, path)
     assert synced == [path.stat().st_size]
+
+
+def test_write_atomic_keeps_destination_when_write_raises_midway(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+
+    def write(fh):
+        fh.write(b"new bytes, half of them")
+        fh.flush()
+        raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError, match="write failed"):
+        write_atomic(path, write)
+    assert path.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("make, kind", [(os.mkfifo, stat.S_ISFIFO), (os.mkdir, stat.S_ISDIR)])
+def test_save_refuses_a_destination_that_is_not_a_regular_file(tmp_path, make, kind):
+    path = tmp_path / "w.cbnw"
+    make(path)
+    with pytest.raises(OSError, match=re.escape(f"{str(path)!r} exists and is not a regular")):
+        save_weights({"a": np.ones(3)}, path)
+    assert kind(path.lstat().st_mode)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _cbnw(name, values):
