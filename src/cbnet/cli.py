@@ -42,7 +42,7 @@ from .task import (
     sub_seed,
     train,
 )
-from .viz import heatmap_channel_mean
+from .viz import channel_mean, normalize_gray, write_pgm
 from .weights import is_regular_or_absent, load_weights, save_weights, write_atomic
 
 
@@ -77,11 +77,20 @@ def _config(args, spec=None):
     )
 
 
-def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
-    probe = os.path.join(path, ".write-test")
-    write_atomic(probe, lambda fh: None)
-    os.remove(probe)
+def _check_outputs(out, outputs):
+    """Create `out`, then refuse each (what, path) output that is not absent or a regular
+    file, is the same file as an earlier one, or whose directory a probe cannot write."""
+    os.makedirs(out, exist_ok=True)
+    reals = [os.path.realpath(path) for _, path in outputs]
+    for i, (what, path) in enumerate(outputs):
+        probe = os.path.join(os.path.dirname(path), ".write-test")
+        try:
+            if reals[i] in reals[:i] or not is_regular_or_absent(path):
+                raise OSError("not a regular file, or the same file as another output")
+            write_atomic(probe, lambda fh: None)
+            os.remove(probe)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {what} to {path!r}: {exc.strerror or exc}")
 
 
 def cmd_summarize(args):
@@ -111,17 +120,13 @@ def cmd_summarize(args):
 
 def cmd_train(args):
     cfg = _config(args)
-    _ensure_outdir(args.out)
+    csv_path = os.path.join(args.out, "loss.csv")
     weights_out = args.weights_out or os.path.join(args.out, "weights.cbnw")
-    parent = os.path.dirname(weights_out) or "."
-    if (not is_regular_or_absent(weights_out) or not os.path.isdir(parent)
-            or not os.access(parent, os.W_OK)):
-        raise ConfigError(f"cannot write weights to {weights_out!r}")
+    _check_outputs(args.out, [("loss table", csv_path), ("weights", weights_out)])
     net, head, dataset = build_task(cfg, args.seed, args.n)
     if args.weights_in:
         apply_state(net, load_weights(args.weights_in), head=head)
     log = train(net, head, dataset, args.steps, args.lr, sub_seed(args.seed, SGD_SEED))
-    csv_path = os.path.join(args.out, "loss.csv")
     rows = "".join(f"{i},{value!r}\n" for i, value in enumerate(log.losses))
     write_atomic(csv_path, lambda fh: fh.write(("step,loss\n" + rows).encode("ascii")))
     save_weights(dict(WithHead(net, head).state()), weights_out)
@@ -166,15 +171,18 @@ def cmd_flops(args):
 
 def cmd_viz(args):
     cfg = _config(args)
-    _ensure_outdir(args.out)
+    levels = range(2, cfg.spec.num_stages + 1)
+    paths = [os.path.join(args.out, f"stage{l}.pgm") for l in levels]
+    _check_outputs(args.out, [("heatmap", path) for path in paths])
     net = build_cbnet(cfg, sub_seed(args.seed, NET_SEED))
     if args.weights_in:
         apply_state(net, load_weights(args.weights_in))
     sample = gen_dataset(sub_seed(args.seed, DATA_SEED), 1)[0]
     pyramid = cbnet_forward(net, sample.image)
-    for l in range(2, cfg.spec.num_stages + 1):
-        path = os.path.join(args.out, f"stage{l}.pgm")
-        heatmap_channel_mean(pyramid.level(l), path)
+    # every map is computed, and so checked finite, before the first file is written
+    grays = [normalize_gray(channel_mean(pyramid.level(l))) for l in levels]
+    for path, gray in zip(paths, grays):
+        write_pgm(gray, path)
         print(f"wrote {path}")
     return 0
 

@@ -23,7 +23,10 @@ def normalize_gray(grid) -> np.ndarray:
         raise ValueError("heatmap holds NaN or inf")
     if hi == lo:
         return np.zeros(g.shape, dtype=np.uint8)
-    return np.rint((g - lo) * (255.0 / (hi - lo))).astype(np.uint8)
+    span = float(hi) - float(lo)  # a Python float overflows to inf without a warning
+    if span == float("inf"):
+        raise ValueError("heatmap range overflows float64")
+    return np.rint((g - lo) * (255.0 / span)).astype(np.uint8)
 
 
 def write_pgm(gray, path):

@@ -10,6 +10,7 @@ import pytest
 
 import helpers
 from cbnet import BackboneSpec, CBNetConfig, build_cbnet, save_weights, state_dict
+from cbnet import cli
 from cbnet.cli import NET_SEED, HEAD_SEED, main, sub_seed
 from cbnet.task import build_head
 
@@ -225,6 +226,41 @@ def test_weights_out_fifo_is_rejected_before_training(tmp_path):
     assert f"cannot write weights to {str(target)!r}" in result.stderr
     assert list((tmp_path / "run").iterdir()) == []
     assert stat.S_ISFIFO(target.lstat().st_mode)
+
+
+TRAIN = ["train", "--k", "1", "--steps", "1", "--n", "4", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, refused, make, what", [
+    (TRAIN, "{out}/loss.csv", os.mkdir, "loss table"),
+    (TRAIN + ["--weights-out", "{tmp}/w.fifo"], "{tmp}/w.fifo", os.mkfifo, "weights"),
+    (TRAIN + ["--weights-out", "{out}/loss.csv"], "{out}/loss.csv", None, "weights"),
+    (["viz", "--k", "1", "--out", "{out}"], "{out}/stage4.pgm", os.mkdir, "heatmap"),
+], ids=["loss-csv-directory", "weights-fifo", "duplicate-output", "stage4-directory"])
+def test_bad_output_is_refused_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, refused, make, what):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the outputs were checked")
+
+    for name in ("build_task", "build_cbnet", "train", "cbnet_forward"):
+        monkeypatch.setattr(cli, name, never)
+
+    def state(path):  # None while absent
+        st = os.lstat(path) if os.path.lexists(path) else None
+        return st and (st.st_mode, st.st_ino, st.st_mtime_ns)
+
+    out = tmp_path / "run"
+    out.mkdir()
+    refused = refused.format(out=out, tmp=tmp_path)
+    if make:
+        make(refused)
+    before = state(refused)
+    assert main([a.format(out=out, tmp=tmp_path) for a in argv]) == 1
+    assert f"cannot write {what} to {refused!r}" in capsys.readouterr().err
+    assert state(refused) == before
+    assert [str(p) for p in out.iterdir()] == ([refused] if make is os.mkdir else [])
+    if make is os.mkdir:
+        assert os.listdir(refused) == []
 
 
 def test_loss_csv_failing_rename_leaves_no_temp_file_and_keeps_destination(

@@ -75,12 +75,17 @@ def test_heatmap_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_map_is_rejected_before_any_file_is_written(tmp_path, bad):
-    grid = np.array([[0.0, 1.0], [bad, 2.0]])
-    with pytest.raises(ValueError, match="NaN or inf"):
+@pytest.mark.parametrize("grid, match", [
+    ([[0.0, 1.0], [np.nan, 2.0]], "NaN or inf"),
+    ([[0.0, 1.0], [np.inf, 2.0]], "NaN or inf"),
+    ([[0.0, 1.0], [-np.inf, 2.0]], "NaN or inf"),
+    ([[-1e308, 0.0], [1e308, 2.0]], "range overflows"),  # finite, but hi - lo is inf
+], ids=["nan", "inf", "-inf", "range-overflow"])
+def test_non_finite_map_is_rejected_before_any_file_is_written(tmp_path, grid, match):
+    grid = np.array(grid)
+    with pytest.raises(ValueError, match=match):
         normalize_gray(grid)
-    with pytest.raises(ValueError, match="NaN or inf"):
+    with pytest.raises(ValueError, match=match):
         heatmap_channel_mean(Tensor4(grid.reshape(1, 1, 2, 2)), tmp_path / "x.pgm")
     assert list(tmp_path.iterdir()) == []
 
