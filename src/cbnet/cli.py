@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -79,15 +80,18 @@ def _config(args, spec=None):
 
 def _check_outputs(out, outputs):
     """Create `out`, then refuse each (what, path) output that is not absent or a regular
-    file, is the same file as an earlier one, or whose directory a probe cannot write."""
+    file, is the same file as an earlier one, or whose directory a probe cannot write.
+    The probe is a file of a fresh name that `mkstemp` creates exclusively, so no file
+    that was there before is overwritten or removed."""
     os.makedirs(out, exist_ok=True)
     reals = [os.path.realpath(path) for _, path in outputs]
     for i, (what, path) in enumerate(outputs):
-        probe = os.path.join(os.path.dirname(path), ".write-test")
         try:
             if reals[i] in reals[:i] or not is_regular_or_absent(path):
                 raise OSError("not a regular file, or the same file as another output")
-            write_atomic(probe, lambda fh: None)
+            fd, probe = tempfile.mkstemp(prefix=".write-test.",
+                                         dir=os.path.dirname(path) or os.curdir)
+            os.close(fd)
             os.remove(probe)
         except OSError as exc:
             raise ConfigError(f"cannot write {what} to {path!r}: {exc.strerror or exc}")

@@ -416,7 +416,8 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     as one stack (`Tape.replay`, which finds the steps that read the
     probed array): the stem runs once on a stack of perturbed images, and
     a conv or batchnorm that reads a probed parameter reruns from its
-    recorded columns or normalized input, once per sub-stack of probes
+    recorded input (a conv builds its columns once per rerun) or its
+    recorded normalized input, once per sub-stack of probes
     whose copies of the array fit `engine._VARIANT_BYTES` (one probe at a
     time, written into the array itself, when one copy does not).  Its
     forward runs per probe only if it hides its params, when every step

@@ -175,9 +175,10 @@ def _conv_out_hw(h, w, k, stride, pad):
     return ph // stride + 1, pw // stride + 1
 
 
-def _im2col(x, k, stride, pad):
+def _im2col(x, k, stride, pad, fold=False):
     """The (n, c·k·k, oh·ow) columns of x for a k×k window at `stride` and
-    `pad`, with (oh, ow).
+    `pad`, or with `fold` its batch-folded (c·k·k, n·oh·ow) columns, with
+    (oh, ow).
 
     x must be C-contiguous: every caller passes a `Tensor4`'s data or a
     fresh padded array.  The windows are one strided view of the padded
@@ -196,6 +197,8 @@ def _im2col(x, k, stride, pad):
     sn, sc, sh, sw = xp.strides
     windows = np.ndarray((n, c, k, k, oh, ow), np.float64, xp, 0,
                          (sn, sc, sh, sw, stride * sh, stride * sw))
+    if fold:
+        return windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * k * k, n * oh * ow), oh, ow
     return windows.reshape(n, c * k * k, oh * ow), oh, ow
 
 
@@ -205,27 +208,27 @@ def _conv_check(x, p):
             f"conv2d: input shape {x.shape} does not match weight shape {p.weight.dims}")
 
 
-def _conv_gemm(cols, p, n, oh, ow):
-    """The (n, c_out, oh, ow) conv output from its input's columns."""
-    y = np.matmul(p.weight.data.reshape(p.c_out, -1), cols)
-    y += p.bias[:, None]
-    return y.reshape(n, p.c_out, oh, ow)
-
-
 def _conv_forward(x, p):
+    """The (n, c_out, oh, ow) conv output: one gemm per sample over x's
+    columns, which are freed on return."""
     _conv_check(x, p)
     cols, oh, ow = _im2col(x, p.kernel, p.stride, p.pad)
-    return _conv_gemm(cols, p, x.shape[0], oh, ow), cols
+    y = np.matmul(p.weight.data.reshape(p.c_out, -1), cols)
+    y += p.bias[:, None]
+    return y.reshape(x.shape[0], p.c_out, oh, ow)
 
 
-def _conv_backward(x, p, grad_out, cols):
-    """Gradients w.r.t. (input, weight, bias); cols are x's columns."""
+def _conv_backward(x, p, grad_out):
+    """Gradients w.r.t. (input, weight, bias).  x's columns are rebuilt here,
+    batch-folded, for the weight gradient's one gemm over every sample."""
     n, c, h, w = x.shape
     k, s, pad = p.kernel, p.stride, p.pad
     oh, ow = grad_out.shape[2], grad_out.shape[3]
     g2 = np.ascontiguousarray(grad_out.reshape(n, p.c_out, oh * ow))
     grad_bias = g2.sum(axis=(0, 2))
-    grad_weight = np.einsum("nof,nkf->ok", g2, cols, optimize=True).reshape(p.weight.dims)
+    cols, _, _ = _im2col(x, k, s, pad, fold=True)
+    g_fold = g2.transpose(1, 0, 2).reshape(p.c_out, n * oh * ow)
+    grad_weight = np.matmul(g_fold, cols.T).reshape(p.weight.dims)
     gcols = np.matmul(p.weight.data.reshape(p.c_out, -1).T, g2)
     g6 = gcols.reshape(n, c, k, k, oh, ow)
     # col2im into the unpadded map: each tap adds only the output positions
@@ -250,15 +253,13 @@ def _taps(k, s, pad, o, size):
 
 def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """Cross-correlate x with p.weight and add p.bias."""
-    y, _ = _conv_forward(x.data, p)
-    return Tensor4(y)
+    return Tensor4(_conv_forward(x.data, p))
 
 
 def conv2d_backward(x: Tensor4, p: ConvParams, grad_out):
     """Gradients of conv2d w.r.t. (input, weight, bias) given the output gradient."""
     _conv_check(x.data, p)
-    cols, _, _ = _im2col(x.data, p.kernel, p.stride, p.pad)
-    return _conv_backward(x.data, p, np.asarray(grad_out, dtype=np.float64), cols)
+    return _conv_backward(x.data, p, np.asarray(grad_out, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +461,27 @@ class Conv2dLayer:
         self.params = params
 
     def forward(self, x):
-        y, cols = _conv_forward(x.data, self.params)
-        return Tensor4(y), (x, cols)
+        return Tensor4(_conv_forward(x.data, self.params)), (x, None)
 
     def rerun(self, ctx, arr, variants):
         """forward's output arrays on its recorded input, (b, *y.dims), one
         per variant of arr (the weight or the bias) in the (b, *arr.shape)
-        `variants`, from the recorded columns: no im2col.  Each is the
-        forward's own gemm, so bit for bit the output of the forward with
-        that variant written into arr."""
-        x, cols = ctx
-        n, _, h, w = x.dims
+        `variants`, from the recorded input's columns, built once per call.
+        Each is the forward's own gemm, so bit for bit the output of the
+        forward with that variant written into arr."""
+        x, _ = ctx
         p = self.params
+        cols, oh, ow = _im2col(x.data, p.kernel, p.stride, p.pad)
         if arr is p.bias:  # the recorded weight's one gemm, b biases added
             y = np.matmul(p.weight.data.reshape(p.c_out, -1), cols) + variants[:, None, :, None]
         else:
             y = np.matmul(variants.reshape(len(variants), 1, p.c_out, -1), cols)
             y += p.bias[:, None]
-        return y.reshape(len(variants), n, p.c_out,
-                         *_conv_out_hw(h, w, p.kernel, p.stride, p.pad))
+        return y.reshape(len(variants), x.dims[0], p.c_out, oh, ow)
 
     def backward(self, ctx, grad_out):
-        x, cols = ctx
-        grad_in, gw, gb = _conv_backward(x.data, self.params, grad_out, cols)
+        x, _ = ctx
+        grad_in, gw, gb = _conv_backward(x.data, self.params, grad_out)
         self.params.weight_grad += gw
         self.params.bias_grad += gb
         return (grad_in,)
@@ -568,10 +567,12 @@ class Tape:
     live only in the walk, which leaves `grads` mapping each input of the
     pass (a tensor no step produced) to its gradient.
 
+    A conv step keeps its input, never its im2col columns: those are freed
+    after the forward's gemm and rebuilt by the backward and by `replay`.
     A forward-only pass clears `recording` right after `Tape()`: `run`
     then executes each layer exactly as before but keeps no step, so every
-    activation and im2col buffer is freed as soon as nothing else holds it.
-    Such a tape cannot be backpropagated.
+    activation is freed as soon as nothing else holds it.  Such a tape
+    cannot be backpropagated.
     """
 
     def __init__(self):
@@ -593,11 +594,12 @@ class Tape:
         An input tensor of the pass that holds arr (the image) starts as
         a stack of its P perturbed copies.  A step whose layer's params
         hold arr reruns from its recorded context when its inputs are the
-        recorded ones (`layer.rerun`: no im2col, no batchnorm statistic
-        moves), for sub-stacks of b = max(1, min(P, _VARIANT_BYTES //
-        arr.nbytes)) probes: each a copy of arr with its probe's element
-        set, arr never written, or, when b is 1, arr itself with the probe
-        written in place and restored, so a large arr is never copied.
+        recorded ones (`layer.rerun`: a conv builds its columns once per
+        call, no batchnorm statistic moves), for sub-stacks of b = max(1,
+        min(P, _VARIANT_BYTES // arr.nbytes)) probes: each a copy of arr
+        with its probe's element set, arr never written, or, when b is 1,
+        arr itself with the probe written in place and restored, so a large
+        arr is never copied.
         Otherwise it runs `forward` per probe on the probe's n-sample
         slice of its inputs (a shared layer whose input is already
         stacked, or a layer without `rerun`).  When neither a tensor nor

@@ -26,7 +26,10 @@ def normalize_gray(grid) -> np.ndarray:
     span = float(hi) - float(lo)  # a Python float overflows to inf without a warning
     if span == float("inf"):
         raise ValueError("heatmap range overflows float64")
-    return np.rint((g - lo) * (255.0 / span)).astype(np.uint8)
+    scale = 255.0 / span
+    if scale == float("inf"):  # a subnormal span: divide by it first, as 255 / span overflows
+        return np.rint((g - lo) / span * 255.0).astype(np.uint8)
+    return np.rint((g - lo) * scale).astype(np.uint8)
 
 
 def write_pgm(gray, path):

@@ -108,6 +108,16 @@ def test_train_zero_steps_writes_initialized_weights(tmp_path):
     assert (out / "loss.csv").read_text() == "step,loss\n"
 
 
+def test_output_probe_keeps_a_users_write_test_file(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / ".write-test").write_bytes(b"mine\n")
+    result = run_cli("train", "--k", "1", "--steps", "0", "--n", "2", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert (out / ".write-test").read_bytes() == b"mine\n"
+    assert sorted(p.name for p in out.iterdir()) == [".write-test", "loss.csv", "weights.cbnw"]
+
+
 def test_train_writes_csv_and_reruns_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

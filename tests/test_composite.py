@@ -670,8 +670,8 @@ def test_replay_reruns_parameter_readers_from_their_recorded_context(monkeypatch
     bn = min(s for s, (layer, _, _, _) in enumerate(tape.steps)
              if isinstance(layer, engine.BatchNormLayer))
     # the last conv's weight and bias: no conv runs after their reader, so
-    # no columns are built; then the first batchnorm's gamma: a training
-    # batchnorm reruns without folding its statistics
+    # only its reruns build columns; then the first batchnorm's gamma: a
+    # training batchnorm reruns without folding its statistics
     conv_p, bn_p = tape.steps[conv][0].params, tape.steps[bn][0].params
     cases = []
     for s, arr in ((conv, conv_p.weight.data), (conv, conv_p.bias), (bn, bn_p.gamma)):
@@ -686,12 +686,26 @@ def test_replay_reruns_parameter_readers_from_their_recorded_context(monkeypatch
         cases.append((arr, probes, y, np.concatenate(expected)))
     stats = [(p.running_mean.copy(), p.running_var.copy()) for p in net.bn_params()]
     im2col = engine._im2col
-    calls = []
-    monkeypatch.setattr(engine, "_im2col", lambda *a: calls.append(a) or im2col(*a))
+    calls, reruns = [], []  # each im2col's input; (recorded input, its inputs) per rerun
+    monkeypatch.setattr(engine, "_im2col", lambda x, *a: calls.append(x) or im2col(x, *a))
+    for cls in (engine.Conv2dLayer, engine.BatchNormLayer):
+        def spy(self, ctx, arr, variants, rerun=cls.rerun):
+            before = len(calls)
+            out = rerun(self, ctx, arr, variants)
+            reruns.append((ctx[0].data, calls[before:]))
+            return out
+        monkeypatch.setattr(cls, "rerun", spy)
     for arr, probes, y, expected in cases:
+        calls.clear()
+        reruns.clear()
         stacked = tape.replay(arr, probes, [*pyramid.levels, y])
         assert np.array_equal(stacked[y].data, expected)
-        assert calls == [] or arr is bn_p.gamma
+        assert reruns
+        if arr is bn_p.gamma:  # a batchnorm rerun builds no columns
+            assert all(built == [] for _, built in reruns)
+        else:  # a conv rerun builds them once per call, from its recorded input
+            assert len(calls) == len(reruns)
+            assert all(len(built) == 1 and built[0] is x for x, built in reruns)
     for p, (mean, var) in zip(net.bn_params(), stats):
         assert np.array_equal(p.running_mean, mean) and np.array_equal(p.running_var, var)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import helpers
 from cbnet import (
     BackboneSpec,
     CBNetConfig,
+    CompositeStyle,
     ConfigError,
     ShapeError,
     TOY_SPEC,
@@ -25,7 +27,7 @@ from cbnet import (
     set_mode,
     train,
 )
-from cbnet.engine import Tape, gradcheck
+from cbnet.engine import Conv2dLayer, Tape, gradcheck
 from cbnet.task import GRID_STRIDE, metrics_from_predictions, render_sample
 
 SMALL = BackboneSpec(num_stages=2, stem_channels=4, stage_channels=(4, 8),
@@ -222,6 +224,35 @@ def test_assistant_parameters_receive_gradient():
     assert assistant
     missing = [n for n in assistant if not log.grad_seen[n]]
     assert not missing, missing
+
+
+STEP_PEAK_MIB = 45  # the step peaks near 34 MiB, or 61 MiB with every conv's columns kept
+
+
+def test_a_training_step_keeps_no_conv_columns_on_its_tape():
+    # one K=2 dhlc train step at full size, batch 4: numpy's allocations are
+    # the same on every machine, so the traced peak is too
+    spec = BackboneSpec()
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.DHLC, spec=spec), 3)
+    head = build_head(spec, 4)
+    data = gen_dataset(5, 4)
+    images = Tensor4(np.concatenate([s.image.data for s in data]))
+    with set_mode(net, "training"):
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            objectness, logits = head.forward(tape, net.forward(images, tape))
+            _, gobj, glog = loss_and_grads(objectness, logits, [s.grid for s in data],
+                                           [s.label for s in data])
+            convs = [(xs, ctx) for layer, xs, _, ctx in tape.steps
+                     if isinstance(layer, Conv2dLayer)]
+            tape.backward([(objectness, gobj), (logits, glog)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(convs) == 44  # the model's 42 convs and the head's 2
+    assert all(ctx[0] is xs[0] and ctx[1] is None for xs, ctx in convs)
+    assert peak < STEP_PEAK_MIB * 2 ** 20, peak / 2 ** 20
 
 
 def test_train_rejects_negative_steps():

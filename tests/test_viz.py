@@ -44,6 +44,14 @@ def test_normalization_spans_full_range():
     assert np.array_equal(gray, [[0, 64], [128, 255]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_subnormal_range_spans_full_range():
+    # 255 / span overflows to inf, yet the map is drawn, not refused
+    gray = normalize_gray(np.array([[0.0, 5e-324], [1e-323, 1.5e-323]]))
+    assert gray.dtype == np.uint8
+    assert np.array_equal(gray, [[0, 85], [170, 255]])
+
+
 def test_pgm_bytes_exact(tmp_path):
     path = tmp_path / "p.pgm"
     write_pgm(np.array([[0, 128], [255, 1]], dtype=np.uint8), path)
