@@ -11,17 +11,16 @@ composite style:
     allc  stage l gets the previous backbone's stage l+1      (absent at l=L)
     dhlc  stage l gets every previous-backbone stage i >= l   (one g per (l, i))
 
-That rule lives in one place, the stage-run table: (k, l, links) per
-stage run in forward order, each link a (source stage, connection key)
-pair whose key is None where slc adds directly.  The forward pass is one
-loop over the table; the build and the key lists read it.
+That rule lives in one place, the stage-run table: (k, l, src, links) per
+stage run in forward order, src the run that feeds it (None: the stem) and
+each link a (source run, connection key) pair, the key None where slc adds
+directly.  The forward pass is one loop over it; the build and keys read it.
 
 Only the last backbone's stage outputs (stages 2..L) are exposed as the
 feature pyramid.  Weight sharing points every backbone at one parameter
 store while composite connections stay per-connection; the accelerated
-variant (two backbones) drops the assistant's stem and first two stages
-and feeds its stage 3 from the lead's stage-2 output, so its table links
-lead stages 3..L to assistant stages 3..L only.
+variant (two backbones) drops the assistant's stem and first two stages,
+so its table feeds the assistant's stage 3 from the lead's stage 2.
 """
 
 from __future__ import annotations
@@ -138,33 +137,39 @@ _LINKS = {
 
 
 def _stage_runs(cfg: CBNetConfig):
-    """The stage-run table: (k, l, links) in forward order, meaning "for each
-    (i, key) in links add the previous backbone's stage-i output, through
-    connection `key` or directly when key is None, then run stage l of
-    backbone k".  Backbones run in turn from their first stage, but the
-    accelerated assistant has only stages 3..L and runs after the lead's
-    stage 2, which feeds it.  Stage 1 takes no links, and a source the
-    previous backbone does not run is absent (allc at l = L; below stage 3
-    when accelerated)."""
+    """The stage-run table: (k, l, src, links) in forward order, a run being
+    a (k, l) pair: "take run src's output (the stem's when src is None), add
+    each (source run, key) link's output through connection `key`, or directly
+    when key is None, then run stage l of backbone k".  A stage takes its own
+    previous one, but the accelerated assistant's stage 3 takes the lead's
+    stage 2.  Stage 1 takes no links, and a source the previous backbone does
+    not run is absent (allc at l = L; below stage 3 when accelerated)."""
     K, L = cfg.num_backbones, cfg.spec.num_stages
     first = _ACCELERATED_FIRST if cfg.accelerated else 1
-    runs = [(K, l, ()) for l in range(1, first)]
+    runs = [(K, l, (K, l - 1) if l > 1 else None, ()) for l in range(1, first)]
     for k in range(1, K + 1):
         for l in range(first, L + 1):
             links = _LINKS[cfg.style](k, l, L) if k > 1 and l > 1 else ()
-            runs.append((k, l, tuple((i, key) for i, key in links if first <= i <= L)))
+            links = tuple(((k - 1, i), key) for i, key in links if first <= i <= L)
+            runs.append((k, l, (k if l > first else K, l - 1) if l > 1 else None, links))
     return runs
+
+
+def _first_stages(cfg: CBNetConfig):
+    """Backbone k's first stage, at index k - 1: the stage of its first run."""
+    runs = _stage_runs(cfg)
+    return [min(l for j, l, _, _ in runs if j == k) for k in range(1, cfg.num_backbones + 1)]
 
 
 def connection_keys(cfg: CBNetConfig):
     """Learned composite-connection keys in build order: (k, l) for ahlc/allc,
     (k, l, i) for dhlc, nothing for slc (it adds directly)."""
-    return [key for _, _, links in _stage_runs(cfg) for _, key in links if key is not None]
+    return [key for _, _, _, links in _stage_runs(cfg) for _, key in links if key is not None]
 
 
 def direct_add_keys(cfg: CBNetConfig):
     """(k, l) pairs where slc adds the previous backbone's stage l-1 directly."""
-    return [(k, l) for k, l, links in _stage_runs(cfg) for _, key in links if key is None]
+    return [(k, l) for k, l, _, links in _stage_runs(cfg) for _, key in links if key is None]
 
 
 class CBNet(Module):
@@ -172,27 +177,33 @@ class CBNet(Module):
         self.config = config
         self.backbones = list(backbones)
         self.connections = dict(connections)
+        if len(self.backbones) != config.num_backbones:
+            raise ConfigError(f"the config has {config.num_backbones} backbones, "
+                              f"got {len(self.backbones)}")
+        for k, (bb, first) in enumerate(zip(self.backbones, _first_stages(config)), 1):
+            if bb.spec != config.spec:
+                raise ConfigError(f"backbone b{k} has spec {bb.spec}, not the config's {config.spec}")
+            if bb.first_stage != first:
+                raise ConfigError(f"backbone b{k} starts at stage {bb.first_stage}, "
+                                  f"not at the stage-run table's stage {first}")
         if set(self.connections) != set(connection_keys(config)):
             raise ConfigError("connection keys do not match the config's composite links")
         self._runs = _stage_runs(config)
 
     def forward(self, image: Tensor4, tape: Tape) -> FeaturePyramid:
-        spec = self.config.spec
-        spec.check_image(image)
-        K = len(self.backbones)
+        self.config.spec.check_image(image)
         outs = {}  # (k, l) -> stage output
-        for k, l, links in self._runs:
+        for k, l, src, links in self._runs:
             bb = self.backbones[k - 1]
-            if l == 1:  # backbones before k - 1 have fed every stage they feed
+            if src is None:  # backbones before k - 1 have fed every stage they feed
                 outs = {run: y for run, y in outs.items() if run[0] >= k - 1}
-                x = bb.stem.run(tape, image)
-            else:  # a truncated backbone's first stage starts from the lead
-                x = outs[k if l > bb.first_stage else K, l - 1]
-            for i, key in links:
-                src = outs[k - 1, i]
-                x = tape.run(ADD, x, src if key is None else self.connections[key].run(tape, src))
+            x = bb.stem.run(tape, image) if src is None else outs[src]
+            for source, key in links:
+                y = outs[source]
+                x = tape.run(ADD, x, y if key is None else self.connections[key].run(tape, y))
             x = outs[k, l] = bb.stage(l).run(tape, x)  # frees the stage's input sum
-        return FeaturePyramid([outs[K, l] for l in range(2, spec.num_stages + 1)])
+        K, L = self.config.num_backbones, self.config.spec.num_stages
+        return FeaturePyramid([outs[K, l] for l in range(2, L + 1)])
 
     def children(self):
         return [(f"b{k}", bb) for k, bb in enumerate(self.backbones, 1)] + [
@@ -222,9 +233,7 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
     rng = np.random.default_rng(as_int(seed, "build_cbnet seed"))
     bseeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=cfg.num_backbones)]
     spec = cfg.spec
-    runs = _stage_runs(cfg)
-    # backbone k runs stages firsts[k - 1]..L
-    firsts = [min(l for j, l, _ in runs if j == k) for k in range(1, cfg.num_backbones + 1)]
+    firsts = _first_stages(cfg)
     if cfg.share_weights:
         # the first full backbone's seed (the lead's when accelerated), so the
         # shared weights are the ones that backbone has in the unshared net
@@ -235,8 +244,8 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
         backbones = [build_backbone(spec, s, f) for s, f in zip(bseeds, firsts)]
 
     connections = {}
-    for _, l, links in runs:
-        for i, key in links:
+    for _, l, _, links in _stage_runs(cfg):
+        for (_, i), key in links:
             if key is not None:
                 c_src, c_dst = spec.stage_out_channels(i), spec.stage_out_channels(l - 1)
                 conv = _init_conv(rng, c_src, c_dst, 1, stride=1, pad=0)

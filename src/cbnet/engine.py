@@ -648,7 +648,7 @@ class Tape:
         for s in range(first, len(self.steps)):
             layer, xs, y, ctx = self.steps[s]
             is_stacked = any(x in stacked for x in xs)
-            if s in readers and not any(x.data is arr for x in xs):
+            if s in readers:
                 rerun = None if is_stacked else getattr(layer, "rerun", None)
                 b = max(1, min(P, _VARIANT_BYTES // arr.nbytes)) if rerun else 1
                 out = np.empty((P, *y.dims))

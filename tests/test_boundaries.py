@@ -1,6 +1,7 @@
 """Constructor and argument checks that no other test reaches: each case
 calls one entry point with one bad value and expects the named error."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -55,6 +56,13 @@ def _toy_net():
     return build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 0)
 
 
+def _net_from(cfg, **built):
+    """CBNet(cfg, ...) with the backbones of a net built from cfg with the
+    fields in `built` replaced, and cfg's own connections."""
+    backbones = build_cbnet(dataclasses.replace(cfg, **built), 0).backbones
+    return CBNet(cfg, backbones, build_cbnet(cfg, 0).connections)
+
+
 CASES = {
     "backbone stage count": (
         lambda: Backbone(TOY_SPEC, None, [], first_stage=3),
@@ -75,6 +83,22 @@ CASES = {
         lambda: CBNet(CBNetConfig(num_backbones=2, spec=TOY_SPEC),
                       build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 0).backbones, {}),
         ConfigError, "connection keys do not match the config's composite links"),
+    "net of 3 backbones under K=2": (
+        lambda: _net_from(CBNetConfig(num_backbones=2, spec=TOY_SPEC), num_backbones=3),
+        ConfigError, "the config has 2 backbones, got 3"),
+    "net of 1 backbone under K=2": (
+        lambda: _net_from(CBNetConfig(num_backbones=2, spec=TOY_SPEC), num_backbones=1),
+        ConfigError, "the config has 2 backbones, got 1"),
+    "net of a full assistant under accelerated": (
+        lambda: _net_from(CBNetConfig(num_backbones=2, accelerated=True, spec=TOY_SPEC),
+                          accelerated=False),
+        ConfigError, "backbone b1 starts at stage 1, not at the stage-run table's stage 3"),
+    "net of a truncated assistant under plain": (
+        lambda: _net_from(CBNetConfig(num_backbones=2, spec=TOY_SPEC), accelerated=True),
+        ConfigError, "backbone b1 starts at stage 3, not at the stage-run table's stage 1"),
+    "net of TOY_SPEC backbones under the default spec": (
+        lambda: _net_from(CBNetConfig(num_backbones=2), spec=TOY_SPEC),
+        ConfigError, f"backbone b1 has spec {TOY_SPEC}, not the config's {BackboneSpec()}"),
     "config style not a CompositeStyle": (
         lambda: CBNetConfig(style="ahlc", spec=TOY_SPEC),
         ConfigError, "CBNetConfig.style: expected a CompositeStyle, got 'ahlc'"),

@@ -598,6 +598,15 @@ def test_forward_step_order_is_pinned(cfg):
     assert _step_digest(build_cbnet(cfg, 0)) == PINNED_STEP_SHA256[_cfg_id(cfg)]
 
 
+def test_readme_library_example_runs():
+    """README's one python block, which runs `net.forward` over the stage-run
+    table, runs as written."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 def _perturbed_arrays(net, image):
     """The image, a lead last-stage conv weight and conv bias, a composite
     connection weight and BN beta (when there is a connection, else the

@@ -493,6 +493,22 @@ def test_a_worker_failure_is_raised_in_the_caller(tmp_path):
     assert list(chunks.values()) == [[_PROBE_CHUNK]]
 
 
+def test_a_worker_that_sends_no_result_is_reported_in_the_caller():
+    arr = np.random.default_rng(9).standard_normal(4 * _PROBE_CHUNK)
+    orig = arr.copy()
+    caller = os.getpid()
+
+    def losses(arr, probes):
+        if os.getpid() != caller:
+            os._exit(0)  # the worker ends before it writes its stripe's result
+        return [float(arr @ arr)] * len(probes)
+
+    with pytest.raises(RuntimeError, match=r"^gradient check worker \d+ sent no result$"):
+        _worst_error([(arr, 2.0 * arr)], losses, 2)
+    helpers.assert_no_child_left()
+    assert arr.tobytes() == orig.tobytes()
+
+
 def test_a_refused_fork_runs_that_stripe_in_the_caller(tmp_path, monkeypatch):
     arr = np.random.default_rng(8).standard_normal(10 * _PROBE_CHUNK)
     want = _worst_error([(arr, 2.0 * arr)], _logged_losses(tmp_path / "serial.log"))
