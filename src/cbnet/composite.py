@@ -161,10 +161,24 @@ def _first_stages(cfg: CBNetConfig):
     return [min(l for j, l, _, _ in runs if j == k) for k in range(1, cfg.num_backbones + 1)]
 
 
+def _connection_shapes(cfg: CBNetConfig):
+    """{key: (c_in, c_out, target_hw)} of each learned connection, in build
+    order: a 1x1 conv from source stage i's channels to those of stage
+    l - 1, the receiving stage's input, resized to that input's size."""
+    spec = cfg.spec
+    return {key: (spec.stage_out_channels(i), spec.stage_out_channels(l - 1),
+                  spec.stage_hw(l - 1))
+            for _, l, _, links in _stage_runs(cfg) for (_, i), key in links if key is not None}
+
+
+def _connection_name(key):
+    return "g." + ".".join(str(part) for part in key)
+
+
 def connection_keys(cfg: CBNetConfig):
     """Learned composite-connection keys in build order: (k, l) for ahlc/allc,
     (k, l, i) for dhlc, nothing for slc (it adds directly)."""
-    return [key for _, _, _, links in _stage_runs(cfg) for _, key in links if key is not None]
+    return list(_connection_shapes(cfg))
 
 
 def direct_add_keys(cfg: CBNetConfig):
@@ -186,8 +200,15 @@ class CBNet(Module):
             if bb.first_stage != first:
                 raise ConfigError(f"backbone b{k} starts at stage {bb.first_stage}, "
                                   f"not at the stage-run table's stage {first}")
-        if set(self.connections) != set(connection_keys(config)):
+        shapes = _connection_shapes(config)
+        if set(self.connections) != set(shapes):
             raise ConfigError("connection keys do not match the config's composite links")
+        for key, want in shapes.items():
+            conn = self.connections[key]
+            got = (conn.conv.params.c_in, conn.conv.params.c_out, conn.target_hw)
+            if got != want:
+                raise ConfigError(f"connection {_connection_name(key)} has (c_in, c_out, "
+                                  f"target_hw) {got}, not the stage-run table's {want}")
         self._runs = _stage_runs(config)
 
     def forward(self, image: Tensor4, tape: Tape) -> FeaturePyramid:
@@ -207,8 +228,7 @@ class CBNet(Module):
 
     def children(self):
         return [(f"b{k}", bb) for k, bb in enumerate(self.backbones, 1)] + [
-            ("g." + ".".join(str(part) for part in key), conn)
-            for key, conn in self.connections.items()]
+            (_connection_name(key), conn) for key, conn in self.connections.items()]
 
 
 class WithHead(Module):
@@ -244,12 +264,9 @@ def build_cbnet(cfg: CBNetConfig, seed: int) -> CBNet:
         backbones = [build_backbone(spec, s, f) for s, f in zip(bseeds, firsts)]
 
     connections = {}
-    for _, l, _, links in _stage_runs(cfg):
-        for (_, i), key in links:
-            if key is not None:
-                c_src, c_dst = spec.stage_out_channels(i), spec.stage_out_channels(l - 1)
-                conv = _init_conv(rng, c_src, c_dst, 1, stride=1, pad=0)
-                connections[key] = CompositeConnection(conv, _init_bn(c_dst), spec.stage_hw(l - 1))
+    for key, (c_in, c_out, target_hw) in _connection_shapes(cfg).items():
+        conv = _init_conv(rng, c_in, c_out, 1, stride=1, pad=0)
+        connections[key] = CompositeConnection(conv, _init_bn(c_out), target_hw)
     return CBNet(cfg, backbones, connections)
 
 

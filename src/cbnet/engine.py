@@ -82,8 +82,9 @@ class Tensor4:
 class ConvParams:
     """Weights of a 2-d cross-correlation: weight (c_out, c_in, k, k), bias (c_out,).
 
-    Kernels are square and either 1x1 or 3x3; `weight_grad` and `bias_grad`
-    are allocated eagerly so shared parameters keep stable storage.
+    Kernels are square and either 1x1 or 3x3.  `weight_grad` and `bias_grad`
+    are allocated once, so shared parameters keep stable storage, but as
+    `np.zeros`: their pages are backed only once a backward writes them.
     """
 
     def __init__(self, weight, bias, stride=1, pad=0):
@@ -99,8 +100,8 @@ class ConvParams:
             raise ConfigError(f"invalid stride={stride} pad={pad}")
         _check_finite("conv", (("weight", self.weight.data), ("bias", bias)))
         self.bias = bias
-        self.weight_grad = np.zeros_like(self.weight.data)
-        self.bias_grad = np.zeros_like(bias)
+        self.weight_grad = np.zeros(self.weight.dims)
+        self.bias_grad = np.zeros(bias.shape)
         self.stride = stride
         self.pad = pad
 
@@ -150,8 +151,8 @@ class BatchNormParams:
         self.running_mean = running_mean
         self.running_var = running_var
         self.mode = mode
-        self.gamma_grad = np.zeros_like(gamma)
-        self.beta_grad = np.zeros_like(beta)
+        self.gamma_grad = np.zeros(gamma.shape)
+        self.beta_grad = np.zeros(beta.shape)
 
     def learnables(self):
         """(name, value, grad) of each learned array, the one list of them."""

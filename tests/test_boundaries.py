@@ -83,6 +83,12 @@ CASES = {
         lambda: CBNet(CBNetConfig(num_backbones=2, spec=TOY_SPEC),
                       build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 0).backbones, {}),
         ConfigError, "connection keys do not match the config's composite links"),
+    "net connections built for other stage channels": (
+        lambda: CBNet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), _toy_net().backbones,
+                      build_cbnet(CBNetConfig(num_backbones=2, spec=dataclasses.replace(
+                          TOY_SPEC, stage_channels=(4, 16, 16))), 0).connections),
+        ConfigError, "connection g.2.2 has (c_in, c_out, target_hw) (16, 4, (8, 8)), "
+                     "not the stage-run table's (8, 4, (8, 8))"),
     "net of 3 backbones under K=2": (
         lambda: _net_from(CBNetConfig(num_backbones=2, spec=TOY_SPEC), num_backbones=3),
         ConfigError, "the config has 2 backbones, got 3"),

@@ -1,4 +1,7 @@
+import ctypes
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -587,3 +590,57 @@ def test_bn_rerun_equals_forward_with_the_current_params(mode):
         rng.uniform(0.5, 1.5, 3), rng.standard_normal(3), rng.standard_normal(3),
         rng.uniform(0.5, 2.0, 3), mode=mode))
     _check_variant_reruns(layer, x, (np.array([0.25, 0.0, 0.0]), np.array([0.0, 0.0, -0.5])))
+
+
+# -- gradient storage -----------------------------------------------------------
+
+# Builds a full-size K=2 accelerated ahlc task in a fresh process (after a
+# TOY_SPEC build that loads every import), runs the forward-only entry points
+# on it, then prints how many pages of its gradient arrays are resident and
+# how many they span, counted with mincore.  A fresh process, because in a
+# long one later builds reuse heap pages that are already resident.
+_GRAD_PAGES_SCRIPT = """
+import ctypes, mmap
+import numpy as np
+from cbnet import (CBNetConfig, TOY_SPEC, WithHead, apply_state, build_cbnet,
+                   cbnet_forward, evaluate, flop_count)
+from cbnet.task import build_task
+
+build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 0)
+net, head, dataset = build_task(CBNetConfig(num_backbones=2, accelerated=True), 0, 4)
+model = WithHead(net, head)
+apply_state(net, {name: arr.copy() for name, arr in model.state()}, head=head)
+evaluate(net, head, dataset)
+cbnet_forward(net, dataset[0].image)
+flop_count(net, (1, 3, 64, 64))
+
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mincore.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.POINTER(ctypes.c_ubyte))
+libc.mincore.restype = ctypes.c_int
+page = mmap.PAGESIZE
+resident = total = 0
+for _, _, grad in model.unique_learnables():
+    start = grad.ctypes.data // page * page
+    pages = -(-(grad.ctypes.data + grad.nbytes - start) // page)
+    vec = (ctypes.c_ubyte * pages)()
+    if libc.mincore(start, pages * page, vec) != 0:
+        raise OSError(ctypes.get_errno(), "mincore failed")
+    resident += sum(v & 1 for v in vec)
+    total += pages
+print(resident, total)
+"""
+
+
+def test_forward_only_passes_leave_gradient_pages_unbacked():
+    """A model that only evaluates, draws or counts FLOPs never writes its
+    gradient arrays, so most of their pages stay unbacked zero pages."""
+    if not os.path.isdir("/proc/self") or not hasattr(ctypes.CDLL(None), "mincore"):
+        pytest.skip("needs mincore and /proc")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _GRAD_PAGES_SCRIPT], capture_output=True,
+                         text=True, env=env, timeout=300, check=True).stdout
+    resident, total = map(int, out.split())
+    assert total > 1000
+    assert resident <= total // 4, f"{resident} of {total} gradient pages resident"
