@@ -5,8 +5,8 @@ is deterministic given its flags: rerunning writes byte-identical files.
 Exits 0 on success; 2 on argument errors, which include a single flag out
 of its range (--k or --n below 1, --steps or --seed below 0, --lr or
 --tolerance negative or not finite); 1 on runtime failures, which include
-a flag combination the model rejects and a gradcheck error above
-tolerance.
+a flag combination the model rejects, a gradcheck error above
+tolerance and running out of memory.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .task import (
     train,
 )
 from .viz import channel_mean, normalize_gray, write_pgm
-from .weights import is_regular_or_absent, load_weights, save_weights, write_atomic
+from .weights import create_beside, load_weights, save_weights, write_atomic
 
 
 def _at_least(convert, low):
@@ -79,18 +78,16 @@ def _config(args, spec=None):
 
 
 def _check_outputs(out, outputs):
-    """Create `out`, then refuse each (what, path) output that is not absent or a regular
-    file, is the same file as an earlier one, or whose directory a probe cannot write.
-    The probe is a file of a fresh name that `mkstemp` creates exclusively, so no file
-    that was there before is overwritten or removed."""
+    """Create `out`, then refuse each (what, path) output that is the same file as an
+    earlier one, or beside which `create_beside` refuses or fails to create a probe.
+    The probe is removed at once, and no file that was there before is touched."""
     os.makedirs(out, exist_ok=True)
     reals = [os.path.realpath(path) for _, path in outputs]
     for i, (what, path) in enumerate(outputs):
         try:
-            if reals[i] in reals[:i] or not is_regular_or_absent(path):
-                raise OSError("not a regular file, or the same file as another output")
-            fd, probe = tempfile.mkstemp(prefix=".write-test.",
-                                         dir=os.path.dirname(path) or os.curdir)
+            if reals[i] in reals[:i]:
+                raise OSError("the same file as another output")
+            fd, probe = create_beside(path)
             os.close(fd)
             os.remove(probe)
         except OSError as exc:
@@ -241,6 +238,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 1
 
 

@@ -308,7 +308,7 @@ def _bn_forward(x, p, group=None):
     group by group and never folds into the running statistics, and None
     in inference mode, which records no normalized copy."""
     if p.mode == "inference":
-        return _bn_scale_shift(x, p, p.gamma, p.beta), None
+        return _bn_scale_shift(x, p), None
     mu, var, istd, xhat = _bn_normalize(x, p, group)
     if group is None:
         p.running_mean *= BN_MOMENTUM
@@ -318,16 +318,15 @@ def _bn_forward(x, p, group=None):
     return _bn_affine(xhat, p.gamma, p.beta), (mu, istd, xhat)
 
 
-def _bn_scale_shift(x, p, gamma, beta):
+def _bn_scale_shift(x, p):
     """Inference batchnorm as one per-channel linear map, x·s + t with
     s = gamma/std and t = beta − mean·s from the running estimates, in a
     fresh array; x is never written.  (Adding t in place was no faster in
-    an eval pass and left the process ~3 MB more peak RSS.)  gamma and
-    beta are (c,), or a (b, c) stack of both that gives (b, *x.shape)."""
+    an eval pass and left the process ~3 MB more peak RSS.)"""
     _bn_check(x, p)
-    scale = gamma * (1.0 / np.sqrt(p.running_var + BN_EPS))
-    shift = beta - p.running_mean * scale
-    return x * scale[..., None, :, None, None] + shift[..., None, :, None, None]
+    scale = p.gamma * (1.0 / np.sqrt(p.running_var + BN_EPS))
+    shift = p.beta - p.running_mean * scale
+    return x * scale[None, :, None, None] + shift[None, :, None, None]
 
 
 def _bn_affine(xhat, gamma, beta):
@@ -498,17 +497,13 @@ class BatchNormLayer:
 
     def rerun(self, ctx, arr, variants):
         """forward's output arrays on its recorded input, (b, *y.dims), one
-        per variant of arr (gamma or beta) in the (b, c) `variants`; no
-        running statistic moves.  Training mode reads the recorded
-        normalized input, so the statistics forward used; inference mode
-        maps the recorded input again."""
-        x, cache = ctx
+        per variant of arr (gamma or beta) in the (b, c) `variants`, from the
+        normalized input a training forward recorded, so with the statistics
+        it used; no running statistic moves."""
         p = self.params
         gamma = variants if arr is p.gamma else np.broadcast_to(p.gamma, variants.shape)
         beta = variants if arr is p.beta else np.broadcast_to(p.beta, variants.shape)
-        if cache is None:
-            return _bn_scale_shift(x.data, p, gamma, beta)
-        return _bn_affine(cache[2], gamma, beta)
+        return _bn_affine(ctx[1][2], gamma, beta)
 
     def backward(self, ctx, grad_out):
         x, cache = ctx
@@ -592,15 +587,15 @@ class Tape:
         """Re-run the steps that depend on arr for a stack of P probes,
         probe p setting arr.flat[i] = v for (i, v) = probes[p].
 
-        An input tensor of the pass that holds arr (the image) starts as
-        a stack of its P perturbed copies.  A step whose layer's params
-        hold arr reruns from its recorded context when its inputs are the
-        recorded ones (`layer.rerun`: a conv builds its columns once per
-        call, no batchnorm statistic moves), for sub-stacks of b = max(1,
-        min(P, _VARIANT_BYTES // arr.nbytes)) probes: each a copy of arr
-        with its probe's element set, arr never written, or, when b is 1,
-        arr itself with the probe written in place and restored, so a large
-        arr is never copied.
+        An input tensor of the pass that holds arr (the image) starts as a stack
+        of its P perturbed copies.  A step whose layer's params hold arr reruns
+        from its recorded context when its inputs are the recorded ones
+        (`layer.rerun`: a conv builds its columns once per call, a batchnorm,
+        recorded in training mode, reads its normalized input and moves no
+        statistic), for sub-stacks of b = max(1, min(P, _VARIANT_BYTES //
+        arr.nbytes)) probes: each a copy of arr with its probe's element set, arr
+        never written, or, when b is 1, arr itself with the probe written in place
+        and restored, so a large arr is never copied.
         Otherwise it runs `forward` per probe on the probe's n-sample
         slice of its inputs (a shared layer whose input is already
         stacked, or a layer without `rerun`).  When neither a tensor nor

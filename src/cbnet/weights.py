@@ -22,26 +22,33 @@ import numpy as np
 MAGIC = b"CBNW"
 VERSION = 1
 _MAX_NDIM = 64  # numpy's limit on array dims
+_token = os.urandom  # the random bytes of a temporary file's name
 
 
 class WeightFormatError(ValueError):
     """A CBNW file (or mapping destined for one) is malformed."""
 
 
-def is_regular_or_absent(path):
-    """Whether `path` is absent or a regular file, all a rename may replace."""
-    return os.path.isfile(path) or not os.path.exists(path)
+def create_beside(path):
+    """Create a new file `<path>.<random>.tmp` beside `path`, with the mode `open()`
+    gives (0o666 less the umask), and return (fd, name).  Refuses a `path` that
+    exists and is not a regular file.  O_EXCL never follows a link or opens a file
+    that is there, so a name that any entry takes is drawn again."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{os.fspath(path)!r} exists and is not a regular file")
+    while True:
+        name = f"{os.fspath(path)}.{_token(8).hex()}.tmp"
+        with contextlib.suppress(FileExistsError):
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
 
 
 def write_atomic(path, write):
-    """Call `write(fh)` on a binary temporary file beside `path`, then rename it
-    over `path`: on any error the temporary file is removed and `path` is left as
-    it was.  Durability is the caller's: a `write` that must survive a crash fsyncs."""
-    if not is_regular_or_absent(path):
-        raise OSError(f"{os.fspath(path)!r} exists and is not a regular file")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    """Call `write(fh)` on the file `create_beside(path)` makes, then rename it over
+    `path`: on any error the file is closed and removed and `path` is left as it
+    was.  Durability is the caller's: a `write` that must survive a crash fsyncs."""
+    fd, tmp = create_beside(path)
     try:
-        with open(tmp, "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:

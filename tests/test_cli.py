@@ -72,6 +72,22 @@ def test_flag_out_of_range_exits_2_with_usage(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message, line", [
+    ("", "error: out of memory"),
+    ("Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type float64",
+     "error: out of memory: Unable to allocate 8.00 GiB for an array with shape "
+     "(1073741824,) and data type float64"),
+], ids=["bare", "numpy"])
+def test_running_out_of_memory_exits_1_with_one_error_line(monkeypatch, capsys, message, line):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*([message] if message else []))
+
+    monkeypatch.setattr(cli, "build_cbnet", exhausted)
+    assert main(["flops", "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
 def test_runtime_failure_exits_1(tmp_path):
     result = run_cli("eval", "--k", "1", "--n", "2",
                      "--weights-in", str(tmp_path / "missing.cbnw"))
@@ -106,16 +122,6 @@ def test_train_zero_steps_writes_initialized_weights(tmp_path):
     save_weights(named, want)
     assert (out / "weights.cbnw").read_bytes() == want.read_bytes()
     assert (out / "loss.csv").read_text() == "step,loss\n"
-
-
-def test_output_probe_keeps_a_users_write_test_file(tmp_path):
-    out = tmp_path / "o"
-    out.mkdir()
-    (out / ".write-test").write_bytes(b"mine\n")
-    result = run_cli("train", "--k", "1", "--steps", "0", "--n", "2", "--out", str(out))
-    assert result.returncode == 0, result.stderr
-    assert (out / ".write-test").read_bytes() == b"mine\n"
-    assert sorted(p.name for p in out.iterdir()) == [".write-test", "loss.csv", "weights.cbnw"]
 
 
 def test_train_writes_csv_and_reruns_byte_identical(tmp_path):
@@ -293,14 +299,15 @@ def test_loss_csv_failing_rename_leaves_no_temp_file_and_keeps_destination(
 
 
 def test_train_under_a_file_size_limit_exits_1_and_leaves_no_partial_file(tmp_path):
-    # 300 loss rows come to more than 2,000 bytes, so loss.csv is the first write to fail
+    # 12 loss rows come to about 265 bytes, more than 200, so loss.csv is the first
+    # write to fail
     out = tmp_path / "run"
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (2000, 2000))
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))
 
-    result = run_cli("train", "--k", "1", "--steps", "300", "--n", "4", "--out", str(out),
+    result = run_cli("train", "--k", "1", "--steps", "12", "--n", "4", "--out", str(out),
                      preexec_fn=limit)
     assert result.returncode == 1
-    assert "error:" in result.stderr
+    assert "error:" in result.stderr and "File too large" in result.stderr
     assert list(out.iterdir()) == []

@@ -265,15 +265,15 @@ def test_batchnorm_writes_neither_its_input_nor_its_recorded_xhat(groups, n, c, 
     layer = BatchNormLayer(p)
     y, ctx = layer.forward(inp)
     assert np.array_equal(inp.data, x0)
+    xhat = inp.data if mode == "inference" else ctx[1][2]
+    recorded = xhat.copy()
     if mode == "inference":  # no normalized copy is recorded, only x itself
         assert ctx[0] is inp and ctx[1] is None
-        xhat = inp.data
-    else:
-        xhat = ctx[1][2]
-    recorded = xhat.copy()
-    for _, arr, _ in p.learnables():  # arr itself, then a copied stack of it
-        for variants in (arr[None], np.repeat(arr[None], 2, axis=0)):
-            assert all(np.array_equal(row, y.data) for row in layer.rerun(ctx, arr, variants))
+    else:  # only a training forward is rerun: arr itself, then a copied stack of it
+        for _, arr, _ in p.learnables():
+            for variants in (arr[None], np.repeat(arr[None], 2, axis=0)):
+                assert all(np.array_equal(row, y.data)
+                           for row in layer.rerun(ctx, arr, variants))
     if not stacked:  # a probe stack is only ever rerun
         layer.backward(ctx, rng.standard_normal(x.shape))
     assert np.array_equal(xhat, recorded)
@@ -286,8 +286,7 @@ def test_batchnorm_writes_neither_its_input_nor_its_recorded_xhat(groups, n, c, 
 def test_inference_batchnorm_is_one_scale_and_shift(n, c, h, w, seed):
     rng = np.random.default_rng(seed)
     x, p = _bn_case(rng, n, c, h, w, "inference")
-    layer = BatchNormLayer(p)
-    y, ctx = layer.forward(Tensor4(x))
+    y, _ = BatchNormLayer(p).forward(Tensor4(x))
     istd = 1.0 / np.sqrt(p.running_var + BN_EPS)
     s = p.gamma * istd
     t = p.beta - p.running_mean * s
@@ -297,13 +296,6 @@ def test_inference_batchnorm_is_one_scale_and_shift(n, c, h, w, seed):
             * p.gamma[None, :, None, None] + p.beta[None, :, None, None])
     big = np.abs(x).max() * np.abs(s).max() + np.abs(t).max()
     np.testing.assert_allclose(y.data, want, rtol=1e-14, atol=1e-14 * big)
-    # rerun maps the recorded input with the current gamma and beta
-    p.gamma += rng.uniform(0.1, 0.5, c)
-    p.beta -= 0.5
-    for _, arr, _ in p.learnables():
-        (rerun,) = layer.rerun(ctx, arr, arr[None])
-        assert np.array_equal(rerun, layer.forward(Tensor4(x))[0].data)
-        assert not np.array_equal(rerun, y.data)
 
 
 @PROPERTY

@@ -157,9 +157,9 @@ def test_loss_is_nonnegative_on_random_inputs():
 # -- training -----------------------------------------------------------------
 
 
-def _tiny_setup(seed=42, n=8, k=1, image_size=64):
+def _tiny_setup(seed=42, n=8, k=1, image_size=64, style=CompositeStyle.AHLC):
     spec = BackboneSpec()
-    cfg = CBNetConfig(num_backbones=k, spec=spec)
+    cfg = CBNetConfig(num_backbones=k, style=style, spec=spec)
     net = build_cbnet(cfg, seed)
     head = build_head(spec, seed + 1)
     data = gen_dataset(seed + 2, n, image_size)
@@ -224,6 +224,17 @@ def test_assistant_parameters_receive_gradient():
     assert assistant
     missing = [n for n in assistant if not log.grad_seen[n]]
     assert not missing, missing
+
+
+def test_slc_assistant_last_stage_alone_receives_no_gradient():
+    # slc feeds the assistant's stage l into the lead's stage l + 1, so
+    # b1.stage5 feeds nothing: its 12 arrays must read False, and every other
+    # array reads True, which a grad_seen set without looking at the gradient fails
+    net, head, data = _tiny_setup(k=2, style=CompositeStyle.SLC)
+    log = train(net, head, data, steps=2, lr=0.01, seed=9)
+    unseen = [name for name, seen in log.grad_seen.items() if not seen]
+    assert unseen == [name for name in log.grad_seen if name.startswith("b1.stage5.")]
+    assert len(unseen) == 12
 
 
 STEP_PEAK_MIB = 45  # the step peaks near 34 MiB, or 61 MiB with every conv's columns kept
@@ -351,6 +362,13 @@ def test_metrics_all_background_has_zero_f1():
     m = metrics_from_predictions(pred, true, [0], [1])
     assert m["cell_f1"] == 0.0
     assert m["class_accuracy"] == 0.0
+
+
+def test_metrics_with_no_predicted_and_no_true_cell_have_zero_f1():
+    # F1 is 0/0 here; the documented convention is 0.0, not a perfect 1.0
+    empty = np.zeros((2, 3, 3), dtype=bool)
+    m = metrics_from_predictions(empty, empty, [1, 0], [1, 2])
+    assert m == {"cell_f1": 0.0, "class_accuracy": 0.5}
 
 
 def test_metrics_match_confusion_oracle():

@@ -23,7 +23,9 @@ from cbnet import (
     save_weights,
     state_dict,
 )
+from cbnet import cli, weights
 from cbnet.composite import WeightsMismatch
+from cbnet.viz import write_pgm
 from cbnet.weights import write_atomic
 
 SMALL = BackboneSpec(num_stages=2, stem_channels=4, stage_channels=(4, 8),
@@ -364,6 +366,85 @@ def test_save_refuses_a_destination_that_is_not_a_regular_file(tmp_path, make, k
         save_weights({"a": np.ones(3)}, path)
     assert kind(path.lstat().st_mode)
     assert list(tmp_path.iterdir()) == [path]
+
+
+# -- the one rule that creates a file -----------------------------------------
+
+PLANTED = b"planted!"  # the first bytes the faked name source draws for each file
+TRAIN_ARGS = ["train", "--k", "1", "--steps", "1", "--n", "2", "--out"]
+
+
+def _write(how, out):
+    """Run one writer into `out`; returns the file names it leaves there."""
+    if how == "save_weights":
+        save_weights({"a": np.arange(3.0)}, out / "w.cbnw")
+        return ["w.cbnw"]
+    if how == "write_pgm":
+        write_pgm(np.array([[1, 2]], dtype=np.uint8), out / "p.pgm")
+        return ["p.pgm"]
+    if how == "train":
+        assert cli.main([*TRAIN_ARGS, str(out)]) == 0
+        return ["loss.csv", "weights.cbnw"]
+    cli._check_outputs(str(out), [("loss table", str(out / "loss.csv")),
+                                  ("weights", str(out / "weights.cbnw"))])
+    return []
+
+
+@pytest.mark.parametrize("plant", ["symlink", "regular-file"])
+@pytest.mark.parametrize("how", ["save_weights", "write_pgm", "train", "check_outputs"])
+def test_no_writer_follows_or_replaces_what_is_at_a_temporary_name(
+        tmp_path, monkeypatch, how, plant):
+    # a link to a victim, or a regular file, at the <path>.<pid>.tmp name that
+    # a fixed-name writer would open, and at the first name the helper draws
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    ref.mkdir()
+    out.mkdir()
+    names = _write(how, ref)
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"victim\n")
+    planted = []
+    for name in names or ["loss.csv", "weights.cbnw"]:
+        for token in (os.getpid(), PLANTED.hex()):
+            at = out / f"{name}.{token}.tmp"
+            if plant == "symlink":
+                at.symlink_to(victim)
+            else:
+                at.write_bytes(b"planted\n")
+            planted.append(at)
+    drawn = []
+
+    def token(nbytes):  # the planted name first, then a fresh one, for each file
+        drawn.append(PLANTED if len(drawn) % 2 == 0 else os.urandom(nbytes))
+        return drawn[-1]
+
+    monkeypatch.setattr(weights, "_token", token)
+    assert _write(how, out) == names
+    assert victim.read_bytes() == b"victim\n"
+    for at in planted:
+        if plant == "symlink":
+            assert os.readlink(at) == str(victim)
+        else:
+            assert not at.is_symlink() and at.read_bytes() == b"planted\n"
+    for name in names:
+        assert not (out / name).is_symlink()
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    assert sorted(out.iterdir()) == sorted(planted + [out / name for name in names])
+    # each file was created at the second name drawn for it, past the planted one
+    assert drawn and len(drawn) % 2 == 0 and set(drawn[::2]) == {PLANTED}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o027], ids=lambda m: f"umask-{m:03o}")
+def test_every_output_gets_the_mode_open_gives_it(tmp_path, umask):
+    saved = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        names = [*_write("save_weights", tmp_path), *_write("write_pgm", tmp_path)]
+    finally:
+        os.umask(saved)
+    want = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert want == 0o666 & ~umask
+    assert [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in names] == [want] * 2
 
 
 def _cbnw(name, values):
