@@ -371,7 +371,6 @@ def test_save_refuses_a_destination_that_is_not_a_regular_file(tmp_path, make, k
 # -- the one rule that creates a file -----------------------------------------
 
 PLANTED = b"planted!"  # the first bytes the faked name source draws for each file
-TRAIN_ARGS = ["train", "--k", "1", "--steps", "1", "--n", "2", "--out"]
 
 
 def _write(how, out):
@@ -383,7 +382,7 @@ def _write(how, out):
         write_pgm(np.array([[1, 2]], dtype=np.uint8), out / "p.pgm")
         return ["p.pgm"]
     if how == "train":
-        assert cli.main([*TRAIN_ARGS, str(out)]) == 0
+        assert cli.main(["train", "--k", "1", "--steps", "1", "--n", "2", "--out", str(out)]) == 0
         return ["loss.csv", "weights.cbnw"]
     cli._check_outputs(str(out), [("loss table", str(out / "loss.csv")),
                                   ("weights", str(out / "weights.cbnw"))])
