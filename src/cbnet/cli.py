@@ -90,8 +90,9 @@ def _check_outputs(out, outputs):
             fd, probe = create_beside(path)
             os.close(fd)
             os.remove(probe)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {what} to {path!r}: {exc.strerror or exc}")
+        except OSError as exc:  # create_beside's refusal starts with the path
+            reason = exc.strerror or str(exc).removeprefix(f"{path!r} ")
+            raise ConfigError(f"cannot write {what} to {path!r}: {reason}")
 
 
 def cmd_summarize(args):

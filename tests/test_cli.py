@@ -124,6 +124,16 @@ def test_train_zero_steps_writes_initialized_weights(tmp_path):
     assert (out / "loss.csv").read_text() == "step,loss\n"
 
 
+def test_output_probe_keeps_a_users_write_test_file(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / ".write-test").write_bytes(b"mine\n")
+    result = run_cli("train", "--k", "1", "--steps", "0", "--n", "2", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert (out / ".write-test").read_bytes() == b"mine\n"
+    assert sorted(p.name for p in out.iterdir()) == [".write-test", "loss.csv", "weights.cbnw"]
+
+
 def test_train_writes_csv_and_reruns_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -239,7 +249,8 @@ def test_weights_out_fifo_is_rejected_before_training(tmp_path):
     result = run_cli("train", "--k", "1", "--steps", "1", "--n", "4",
                      "--out", str(tmp_path / "run"), "--weights-out", str(target))
     assert result.returncode == 1
-    assert f"cannot write weights to {str(target)!r}" in result.stderr
+    assert result.stderr == (f"error: cannot write weights to {str(target)!r}: "
+                             "exists and is not a regular file\n")
     assert list((tmp_path / "run").iterdir()) == []
     assert stat.S_ISFIFO(target.lstat().st_mode)
 
@@ -272,7 +283,9 @@ def test_bad_output_is_refused_before_any_work(
         make(refused)
     before = state(refused)
     assert main([a.format(out=out, tmp=tmp_path) for a in argv]) == 1
-    assert f"cannot write {what} to {refused!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"cannot write {what} to {refused!r}" in err
+    assert err.count(refused) == 1
     assert state(refused) == before
     assert [str(p) for p in out.iterdir()] == ([refused] if make is os.mkdir else [])
     if make is os.mkdir:
