@@ -274,32 +274,26 @@ def _bn_check(x, p):
 
 
 def _bn_normalize(x, p, group=None):
-    """(mean, variance, 1/std, normalized x) of x taken as runs of `group`
-    consecutive samples, all of x being one run when None.
+    """(mean, 1/std, normalized x, variance) of x taken as runs of `group`
+    consecutive samples, all of x being one run when None: the run's biased
+    batch statistics whatever p's mode, one row per run, shape (runs, c).
 
-    Each statistic has one row per run, shape (runs, c): the run's biased
-    batch statistics in training mode, the running estimates in every row
-    in inference mode.  The batch statistics are sum / m and the mean of
-    the squared centred input, which is what np.mean and np.var compute,
-    bit for bit, while centring x only once.  x is never written: the
-    normalized x is the fresh centred array, scaled in place.  Callers
-    record it, so nothing may write into it once it is returned.
+    The statistics are sum / m and the mean of the squared centred input,
+    which is what np.mean and np.var compute, bit for bit, while centring x
+    only once.  x is never written: the normalized x is the fresh centred
+    array, scaled in place.  Callers record it, so nothing may write into
+    it once it is returned.
     """
     _bn_check(x, p)
     n, c, h, w = x.shape
     xg = x.reshape(-1 if group else 1, group or n, c, h, w)
-    if p.mode == "training":
-        m = xg.shape[1] * h * w
-        mu = xg.sum(axis=(1, 3, 4)) / m
-        xc = xg - mu[:, None, :, None, None]
-        var = (xc * xc).sum(axis=(1, 3, 4)) / m
-    else:
-        mu = np.broadcast_to(p.running_mean, (len(xg), c))
-        var = np.broadcast_to(p.running_var, (len(xg), c))
-        xc = xg - mu[:, None, :, None, None]
+    m = xg.shape[1] * h * w
+    mu = xg.sum(axis=(1, 3, 4)) / m
+    xc = xg - mu[:, None, :, None, None]
+    var = (xc * xc).sum(axis=(1, 3, 4)) / m
     istd = 1.0 / np.sqrt(var + BN_EPS)
     xc *= istd[:, None, :, None, None]
-    return mu, var, istd, xc.reshape(x.shape)
+    return mu, istd, xc.reshape(x.shape), var
 
 
 def _bn_forward(x, p, group=None):
@@ -309,7 +303,7 @@ def _bn_forward(x, p, group=None):
     in inference mode, which records no normalized copy."""
     if p.mode == "inference":
         return _bn_scale_shift(x, p), None
-    mu, var, istd, xhat = _bn_normalize(x, p, group)
+    mu, istd, xhat, var = _bn_normalize(x, p, group)
     if group is None:
         p.running_mean *= BN_MOMENTUM
         p.running_mean += (1.0 - BN_MOMENTUM) * mu[0]
@@ -339,17 +333,22 @@ def _bn_affine(xhat, gamma, beta):
 
 def _bn_backward(x, p, grad_out, cache):
     """Gradients w.r.t. (input, gamma, beta) of one unstacked batch (a
-    single run), from the (mu, istd, xhat) that `_bn_normalize` gave it,
-    rebuilt from x when the cache is None.  grad_out is never written."""
+    single run) in the mode its forward ran in, told by the cache, never by
+    p.mode: a training forward's (mu, istd, xhat) takes the batch-statistics
+    formula, and None, what an inference forward records, the one on the
+    running estimates, from which xhat is rebuilt.  grad_out is never
+    written."""
     if cache is None:
-        mu, _, istd, xhat = _bn_normalize(x, p)
-        cache = mu, istd, xhat
-    (mu,), (istd,), xhat = cache
+        _bn_check(x, p)
+        istd = 1.0 / np.sqrt(p.running_var + BN_EPS)
+        xhat = (x - p.running_mean[None, :, None, None]) * istd[None, :, None, None]
+    else:
+        (mu,), (istd,), xhat = cache
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
     gxhat = grad_out * p.gamma[None, :, None, None]
     grad_in = gxhat  # gxhat and xc are fresh, so the sum is built in place
-    if p.mode == "training":
+    if cache is not None:
         n, _, h, w = x.shape
         m = float(n * h * w)
         xc = x - mu[None, :, None, None]
@@ -372,8 +371,9 @@ def batchnorm(x: Tensor4, p: BatchNormParams) -> Tensor4:
 
 
 def batchnorm_backward(x: Tensor4, p: BatchNormParams, grad_out):
-    """Gradients of batchnorm w.r.t. (input, gamma, beta)."""
-    return _bn_backward(x.data, p, np.asarray(grad_out, dtype=np.float64), None)
+    """Gradients of batchnorm w.r.t. (input, gamma, beta) in p's current mode."""
+    cache = _bn_normalize(x.data, p)[:3] if p.mode == "training" else None
+    return _bn_backward(x.data, p, np.asarray(grad_out, dtype=np.float64), cache)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +499,11 @@ class BatchNormLayer:
         """forward's output arrays on its recorded input, (b, *y.dims), one
         per variant of arr (gamma or beta) in the (b, c) `variants`, from the
         normalized input a training forward recorded, so with the statistics
-        it used; no running statistic moves."""
+        it used; no running statistic moves.  An inference forward records
+        no normalized input, so its step raises `RuntimeError`."""
+        if ctx[1] is None:
+            raise RuntimeError("batchnorm rerun: the step was recorded in inference mode, "
+                               "which keeps no normalized input")
         p = self.params
         gamma = variants if arr is p.gamma else np.broadcast_to(p.gamma, variants.shape)
         beta = variants if arr is p.beta else np.broadcast_to(p.beta, variants.shape)
@@ -561,7 +565,10 @@ class Tape:
     gradient) pairs, so fan-out sums are bit-reproducible.  It adds
     parameter gradients into the parameter sets' `*_grad` arrays; others
     live only in the walk, which leaves `grads` mapping each input of the
-    pass (a tensor no step produced) to its gradient.
+    pass (a tensor no step produced) to its gradient.  Each batchnorm step
+    is differentiated in the mode its forward ran in, which its record
+    holds, so a backward may run after the `set_mode` block that scoped
+    the forward has ended.
 
     A conv step keeps its input, never its im2col columns: those are freed
     after the forward's gemm and rebuilt by the backward and by `replay`.
@@ -575,7 +582,7 @@ class Tape:
         self.steps = []
         self.recording = True
         self.grads = {}
-        self._index = (0, {}, {})
+        self._index = (0, {}, {}, [])
 
     def run(self, layer, *xs) -> Tensor4:
         y, ctx = layer.forward(*xs)
@@ -610,19 +617,31 @@ class Tape:
         Returns {recorded output: stacked output} for the outputs in
         `keep`; any other stacked output is dropped after its last reader.
         The steps are indexed once per tape length: the last step that
-        reads or makes each tensor, and the steps whose params hold each
-        array (by id; the steps keep the arrays alive).
+        reads or makes each tensor, the steps whose params hold each array
+        (by id; the steps keep the arrays alive), and the params and
+        recorded mode of each `BatchNormLayer` step (a layer that wraps one
+        goes unchecked).  Every call raises `RuntimeError` if any of those
+        params is now in another mode than its step was recorded in, since
+        the replay runs in the current mode.  A batchnorm step recorded in
+        inference mode cannot rerun, so probing its gamma or beta raises
+        `RuntimeError` too.
         """
         if self._index[0] != len(self.steps):
-            last, holders = {}, {}
-            for s, (layer, xs, y, _) in enumerate(self.steps):
+            last, holders, modes = {}, {}, []
+            for s, (layer, xs, y, ctx) in enumerate(self.steps):
                 for t in (*xs, y):
                     last[t] = s
+                if isinstance(layer, BatchNormLayer):  # an inference forward records None
+                    modes.append((layer.params, "inference" if ctx[1] is None else "training"))
                 params = getattr(layer, "params", None)
                 for _, value, _ in params.learnables() if params is not None else ():
                     holders.setdefault(id(value), set()).add(s)
-            self._index = (len(self.steps), last, holders)
-        _, last, holders = self._index
+            self._index = (len(self.steps), last, holders, modes)
+        _, last, holders, modes = self._index
+        for p, mode in modes:
+            if p.mode != mode:
+                raise RuntimeError(f"replay: a batchnorm step recorded in {mode} mode "
+                                   f"now has its params in {p.mode} mode")
         keep = set(keep)
         P = len(probes)
         stacked = {}

@@ -92,15 +92,17 @@ def save_weights(named, path):
 
 
 class _Reader:
-    """Cursor over the file's bytes; `take` returns a view, not a copy."""
+    """Cursor over the bytes of the file at `path`, which its refusal names;
+    `take` returns a view, not a copy."""
 
-    def __init__(self, blob):
+    def __init__(self, blob, path):
         self.blob = memoryview(blob)
+        self.path = path
         self.pos = 0
 
     def take(self, n, what):
         if self.pos + n > len(self.blob):
-            raise WeightFormatError(f"truncated file while reading {what}")
+            raise WeightFormatError(f"{self.path}: truncated file while reading {what}")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -114,7 +116,7 @@ def load_weights(path):
     """Read a CBNW file back into an ordered name -> array dict."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    r = _Reader(blob)
+    r = _Reader(blob, path)
     if r.take(4, "magic") != MAGIC:
         raise WeightFormatError(f"{path}: not a CBNW file (bad magic)")
     version = r.u("I", "version")

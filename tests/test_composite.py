@@ -1002,7 +1002,81 @@ def test_replay_reindexes_a_tape_that_grew():
         assert np.array_equal(got[y].data, want[fresh_y].data)
 
 
+def _shared_gamma_and_weight(net):
+    """The lead's last stage's first batchnorm gamma and second conv weight,
+    each read by both backbones under sharing."""
+    last = net.backbones[-1].stage(net.config.spec.num_stages)
+    return last.bn1.params.gamma, last.conv2.params.weight.data
+
+
+def _two_probes(arr):
+    return [(0, arr.flat[0] + 0.25), (1, arr.flat[1] - 0.5)]
+
+
+def test_replay_refuses_a_batchnorm_step_whose_params_left_its_recorded_mode():
+    net = build_cbnet(CBNetConfig(num_backbones=2, share_weights=True, spec=TOY_SPEC), 31)
+    image = helpers.random_image(TOY_SPEC, 32)
+    gamma, weight = _shared_gamma_and_weight(net)
+    with set_mode(net, "training"):
+        tape = Tape()
+        pyramid = net.forward(image, tape)
+        inside = tape.replay(weight, _two_probes(weight), pyramid.levels)
+    for arr in (weight, gamma, image.data):
+        with pytest.raises(RuntimeError, match="recorded in training mode .* inference mode"):
+            tape.replay(arr, _two_probes(arr), pyramid.levels)
+    with set_mode(net, "training"):  # the guard compares the modes on every call
+        again = tape.replay(weight, _two_probes(weight), pyramid.levels)
+    assert all(np.array_equal(inside[lvl].data, again[lvl].data) for lvl in inside)
+    tape = Tape()
+    pyramid = net.forward(image, tape)
+    tape.replay(weight, _two_probes(weight), pyramid.levels)
+    with set_mode(net, "training"), pytest.raises(
+            RuntimeError, match="recorded in inference mode .* training mode"):
+        tape.replay(weight, _two_probes(weight), pyramid.levels)
+
+
+def test_replay_of_an_inference_tape_refuses_to_probe_a_batchnorm_gamma():
+    net = build_cbnet(CBNetConfig(num_backbones=2, share_weights=True, spec=TOY_SPEC), 31)
+    gamma, _ = _shared_gamma_and_weight(net)
+    orig = gamma.copy()
+    tape = Tape()
+    pyramid = net.forward(helpers.random_image(TOY_SPEC, 32), tape)
+    with pytest.raises(RuntimeError, match="recorded in inference mode"):
+        tape.replay(gamma, _two_probes(gamma), pyramid.levels)
+    assert np.array_equal(gamma, orig)
+
+
 # -- gradients live only in the backward walk ----------------------------------------
+
+
+def _seeded_backward(net, tape, image, pyramid):
+    """Every unique gradient and the image gradient of one backward from
+    fixed random seeds on the pyramid levels, from zeroed gradients."""
+    rng = np.random.default_rng(43)
+    for _, _, grad in net.unique_learnables():
+        grad[:] = 0.0
+    tape.backward([(lvl, rng.standard_normal(lvl.dims)) for lvl in pyramid.levels])
+    return [grad.copy() for _, _, grad in net.unique_learnables()] + [tape.grads[image]]
+
+
+@pytest.mark.parametrize("cfg", list(helpers.config_sweep(TOY_SPEC)), ids=helpers.cfg_id)
+def test_backward_differentiates_batchnorm_in_the_mode_its_forward_ran_in(cfg):
+    net = build_cbnet(cfg, 41)
+    image = helpers.random_image(TOY_SPEC, 42)
+    with set_mode(net, "training"):
+        tape = Tape()
+        pyramid = net.forward(image, tape)
+        want = _seeded_backward(net, tape, image, pyramid)
+    got = _seeded_backward(net, tape, image, pyramid)  # the net is back in inference mode
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    tape = Tape()
+    pyramid = net.forward(image, tape)
+    want_inference = _seeded_backward(net, tape, image, pyramid)
+    with set_mode(net, "training"):
+        got = _seeded_backward(net, tape, image, pyramid)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want_inference, strict=True))
+    # the two modes' gradients differ, so each comparison can fail
+    assert not all(np.array_equal(a, b) for a, b in zip(want, want_inference))
 
 
 def test_second_backward_on_one_tape_equals_the_first():

@@ -187,6 +187,12 @@ def test_relu_clamps_negatives():
     assert np.array_equal(y.data, [[[[0.0, 0.0, 2.0, 5.0]]]])
 
 
+def test_relu_passes_no_gradient_at_exactly_zero():
+    # relu is not differentiable at 0; the convention is the left derivative, 0
+    x = t4([[[[-1.0, 0.0, -0.0, 2.0]]]])
+    assert np.array_equal(relu_backward(x, np.full(x.dims, 3.0)), [[[[0.0, 0.0, 0.0, 3.0]]]])
+
+
 def test_add_zero_is_identity():
     rng = np.random.default_rng(2)
     x = Tensor4(rng.standard_normal((2, 3, 4, 4)))
@@ -590,6 +596,15 @@ def test_bn_rerun_equals_forward_with_the_current_params():
         rng.uniform(0.5, 1.5, 3), rng.standard_normal(3), rng.standard_normal(3),
         rng.uniform(0.5, 2.0, 3), mode="training"))
     _check_variant_reruns(layer, x, (np.array([0.25, 0.0, 0.0]), np.array([0.0, 0.0, -0.5])))
+
+
+def test_bn_rerun_of_an_inference_record_is_refused_naming_the_mode():
+    rng = np.random.default_rng(13)
+    layer = BatchNormLayer(_bn(3))
+    _, ctx = layer.forward(Tensor4(rng.standard_normal((2, 3, 4, 4))))
+    for _, arr, _ in layer.params.learnables():
+        with pytest.raises(RuntimeError, match="recorded in inference mode"):
+            layer.rerun(ctx, arr, arr[None])
 
 
 # -- gradient storage -----------------------------------------------------------

@@ -28,7 +28,7 @@ from cbnet import (
     train,
 )
 from cbnet.engine import Conv2dLayer, Tape, gradcheck
-from cbnet.task import GRID_STRIDE, metrics_from_predictions, render_sample
+from cbnet.task import GRID_STRIDE, build_task, metrics_from_predictions, render_sample
 
 SMALL = BackboneSpec(num_stages=2, stem_channels=4, stage_channels=(4, 8),
                      image_size=(16, 16))
@@ -397,6 +397,15 @@ def test_evaluate_runs_end_to_end_and_rejects_empty():
     assert 0.0 <= metrics["class_accuracy"] <= 1.0
     with pytest.raises(ConfigError):
         evaluate(net, head, [])
+
+
+def test_evaluate_counts_an_objectness_logit_of_exactly_zero_as_not_predicted():
+    # a logit of 0 is probability 0.5, which is not above the threshold
+    net, head, data = build_task(CBNetConfig(num_backbones=1), 42, 8)
+    head.obj.params.weight.data[...] = 0.0
+    head.obj.params.bias[...] = 0.0
+    assert sum(s.grid.sum() for s in data) > 0
+    assert evaluate(net, head, data)["cell_f1"] == 0.0
 
 
 @pytest.mark.parametrize("chunk", [0, -1])

@@ -72,6 +72,22 @@ def test_truncated_payload_names_tensor(tmp_path):
     assert "stem.conv.weight" in str(err.value)
 
 
+# bytes kept of the 28-byte file of one tensor 'a' of one float, and the
+# field the cut falls in
+@pytest.mark.parametrize("keep, what", [
+    (0, "magic"), (2, "magic"), (6, "version"), (10, "tensor count"), (13, "name length"),
+    (14, "tensor name"), (15, "ndim of 'a'"), (18, "dims of 'a'"), (27, "payload of 'a'")],
+    ids=["empty", "magic", "version", "count", "name-length", "name", "ndim", "dims", "payload"])
+def test_a_truncated_file_is_refused_naming_the_file(tmp_path, keep, what):
+    path = tmp_path / "ok.cbnw"
+    save_weights({"a": np.ones(1)}, path)
+    cut = tmp_path / "cut.cbnw"
+    cut.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(WeightFormatError) as err:
+        load_weights(cut)
+    assert str(err.value) == f"{cut}: truncated file while reading {what}"
+
+
 def test_duplicate_names_rejected(tmp_path):
     entry = struct.pack("<H", 1) + b"a" + struct.pack("<B", 1) + struct.pack("<I", 1) \
         + struct.pack("<d", 2.0)
