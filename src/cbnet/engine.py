@@ -25,6 +25,7 @@ _FD_STEP = 1e-5  # central-difference step of the gradient checks
 _PROBE_CHUNK = 32  # elements a gradient check probes per `losses` call, two probes each
 _VARIANT_BYTES = 256 * 1024  # most bytes of one rerun's copies of a probed array
 _MAX_PROBE_WORKERS = 4  # most processes one gradient check runs its chunks in
+_COLS_BYTES = 1024 * 1024  # most bytes of one conv block's im2col or col2im columns
 
 
 class ShapeError(ValueError):
@@ -181,7 +182,8 @@ def _im2col(x, k, stride, pad, fold=False):
     `pad`, or with `fold` its batch-folded (c·k·k, n·oh·ow) columns, with
     (oh, ow).
 
-    x must be C-contiguous: every caller passes a `Tensor4`'s data or a
+    x must be C-contiguous: every caller passes a `Tensor4`'s data, a
+    `_sample_blocks` slice of one (whole samples, so still contiguous) or a
     fresh padded array.  The windows are one strided view of the padded
     input, built over its buffer, which rejects a non-contiguous x or a
     window past the buffer's end with `ValueError`; one reshape then copies
@@ -203,6 +205,15 @@ def _im2col(x, k, stride, pad, fold=False):
     return windows.reshape(n, c * k * k, oh * ow), oh, ow
 
 
+def _sample_blocks(n, sample_bytes):
+    """Slices of whole samples that cover range(n) in order, each of
+    max(1, _COLS_BYTES // sample_bytes) samples but the last, which holds
+    the rest: the blocks a conv builds its columns in, sample_bytes being
+    one sample's columns.  A whole batch that fits the budget is one block."""
+    b = max(1, _COLS_BYTES // sample_bytes)
+    return [slice(lo, min(lo + b, n)) for lo in range(0, n, b)]
+
+
 def _conv_check(x, p):
     if x.shape[1] != p.c_in:
         raise ShapeError(
@@ -210,18 +221,27 @@ def _conv_check(x, p):
 
 
 def _conv_forward(x, p):
-    """The (n, c_out, oh, ow) conv output: one gemm per sample over x's
-    columns, which are freed on return."""
+    """The (n, c_out, oh, ow) conv output: one gemm per sample, run as one
+    stacked gemm per `_sample_blocks` block over that block's columns, which
+    are freed before the next block's are built.  A sample's gemm does not
+    depend on its block, so neither do its bits."""
     _conv_check(x, p)
-    cols, oh, ow = _im2col(x, p.kernel, p.stride, p.pad)
-    y = np.matmul(p.weight.data.reshape(p.c_out, -1), cols)
+    n, c, h, w = x.shape
+    k = p.kernel
+    oh, ow = _conv_out_hw(h, w, k, p.stride, p.pad)
+    w2 = p.weight.data.reshape(p.c_out, -1)
+    y = np.empty((n, p.c_out, oh * ow))
+    for blk in _sample_blocks(n, c * k * k * oh * ow * 8):
+        np.matmul(w2, _im2col(x[blk], k, p.stride, p.pad)[0], out=y[blk])
     y += p.bias[:, None]
-    return y.reshape(x.shape[0], p.c_out, oh, ow)
+    return y.reshape(n, p.c_out, oh, ow)
 
 
 def _conv_backward(x, p, grad_out):
     """Gradients w.r.t. (input, weight, bias).  x's columns are rebuilt here,
-    batch-folded, for the weight gradient's one gemm over every sample."""
+    batch-folded, for the weight gradient's one gemm over every sample, and
+    freed before the input gradient: its per-sample gemms and col2im run per
+    `_sample_blocks` block, so only one block's gradient columns are held."""
     n, c, h, w = x.shape
     k, s, pad = p.kernel, p.stride, p.pad
     oh, ow = grad_out.shape[2], grad_out.shape[3]
@@ -230,15 +250,18 @@ def _conv_backward(x, p, grad_out):
     cols, _, _ = _im2col(x, k, s, pad, fold=True)
     g_fold = g2.transpose(1, 0, 2).reshape(p.c_out, n * oh * ow)
     grad_weight = np.matmul(g_fold, cols.T).reshape(p.weight.dims)
-    gcols = np.matmul(p.weight.data.reshape(p.c_out, -1).T, g2)
-    g6 = gcols.reshape(n, c, k, k, oh, ow)
+    del cols, g_fold
+    w2t = p.weight.data.reshape(p.c_out, -1).T
     # col2im into the unpadded map: each tap adds only the output positions
     # whose input pixel lies inside it, taps in (i, j) order
-    taps_w = list(_taps(k, s, pad, ow, w))
+    taps_h, taps_w = list(_taps(k, s, pad, oh, h)), list(_taps(k, s, pad, ow, w))
     grad_in = np.zeros((n, c, h, w), dtype=np.float64)
-    for i, oy, iy in _taps(k, s, pad, oh, h):
-        for j, ox, ix in taps_w:
-            grad_in[:, :, iy, ix] += g6[:, :, i, j, oy, ox]
+    for blk in _sample_blocks(n, c * k * k * oh * ow * 8):
+        g6 = np.matmul(w2t, g2[blk]).reshape(-1, c, k, k, oh, ow)
+        gi = grad_in[blk]
+        for i, oy, iy in taps_h:
+            for j, ox, ix in taps_w:
+                gi[:, :, iy, ix] += g6[:, :, i, j, oy, ox]
     return grad_in, grad_weight, grad_bias
 
 
@@ -299,10 +322,12 @@ def _bn_normalize(x, p, group=None):
 def _bn_forward(x, p, group=None):
     """Batchnorm of x and the cache its backward reads: (mu, istd, xhat)
     in training mode, where a probe stack (`group` set) is normalized
-    group by group and never folds into the running statistics, and None
-    in inference mode, which records no normalized copy."""
+    group by group and never folds into the running statistics, and
+    `_bn_running(p)`, (mean, istd, None), in inference mode, which records
+    the statistics it used but no normalized copy."""
     if p.mode == "inference":
-        return _bn_scale_shift(x, p), None
+        cache = _bn_running(p)
+        return _bn_scale_shift(x, p, *cache[:2]), cache
     mu, istd, xhat, var = _bn_normalize(x, p, group)
     if group is None:
         p.running_mean *= BN_MOMENTUM
@@ -312,14 +337,20 @@ def _bn_forward(x, p, group=None):
     return _bn_affine(xhat, p.gamma, p.beta), (mu, istd, xhat)
 
 
-def _bn_scale_shift(x, p):
+def _bn_running(p):
+    """The inference cache (mean, istd, None): a copy of p's running mean and
+    1/std of its running variance, the statistics an inference step uses."""
+    return p.running_mean.copy(), 1.0 / np.sqrt(p.running_var + BN_EPS), None
+
+
+def _bn_scale_shift(x, p, mean, istd):
     """Inference batchnorm as one per-channel linear map, x·s + t with
-    s = gamma/std and t = beta − mean·s from the running estimates, in a
-    fresh array; x is never written.  (Adding t in place was no faster in
-    an eval pass and left the process ~3 MB more peak RSS.)"""
+    s = gamma·istd and t = beta − mean·s, in a fresh array; x is never
+    written.  (Adding t in place was no faster in an eval pass and left the
+    process ~3 MB more peak RSS.)"""
     _bn_check(x, p)
-    scale = p.gamma * (1.0 / np.sqrt(p.running_var + BN_EPS))
-    shift = p.beta - p.running_mean * scale
+    scale = p.gamma * istd
+    shift = p.beta - mean * scale
     return x * scale[None, :, None, None] + shift[None, :, None, None]
 
 
@@ -335,20 +366,21 @@ def _bn_backward(x, p, grad_out, cache):
     """Gradients w.r.t. (input, gamma, beta) of one unstacked batch (a
     single run) in the mode its forward ran in, told by the cache, never by
     p.mode: a training forward's (mu, istd, xhat) takes the batch-statistics
-    formula, and None, what an inference forward records, the one on the
-    running estimates, from which xhat is rebuilt.  grad_out is never
-    written."""
-    if cache is None:
-        _bn_check(x, p)
-        istd = 1.0 / np.sqrt(p.running_var + BN_EPS)
-        xhat = (x - p.running_mean[None, :, None, None]) * istd[None, :, None, None]
+    formula, and an inference forward's (mean, istd, None) the one on the
+    running estimates it recorded, from which xhat is rebuilt, so running
+    statistics moved since then change nothing.  grad_out is never written."""
+    mu, istd, xhat = cache
+    training = xhat is not None
+    if training:
+        (mu,), (istd,) = mu, istd
     else:
-        (mu,), (istd,), xhat = cache
+        _bn_check(x, p)
+        xhat = (x - mu[None, :, None, None]) * istd[None, :, None, None]
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
     gxhat = grad_out * p.gamma[None, :, None, None]
     grad_in = gxhat  # gxhat and xc are fresh, so the sum is built in place
-    if cache is not None:
+    if training:
         n, _, h, w = x.shape
         m = float(n * h * w)
         xc = x - mu[None, :, None, None]
@@ -372,7 +404,7 @@ def batchnorm(x: Tensor4, p: BatchNormParams) -> Tensor4:
 
 def batchnorm_backward(x: Tensor4, p: BatchNormParams, grad_out):
     """Gradients of batchnorm w.r.t. (input, gamma, beta) in p's current mode."""
-    cache = _bn_normalize(x.data, p)[:3] if p.mode == "training" else None
+    cache = _bn_normalize(x.data, p)[:3] if p.mode == "training" else _bn_running(p)
     return _bn_backward(x.data, p, np.asarray(grad_out, dtype=np.float64), cache)
 
 
@@ -501,7 +533,7 @@ class BatchNormLayer:
         normalized input a training forward recorded, so with the statistics
         it used; no running statistic moves.  An inference forward records
         no normalized input, so its step raises `RuntimeError`."""
-        if ctx[1] is None:
+        if ctx[1][2] is None:
             raise RuntimeError("batchnorm rerun: the step was recorded in inference mode, "
                                "which keeps no normalized input")
         p = self.params
@@ -566,12 +598,16 @@ class Tape:
     parameter gradients into the parameter sets' `*_grad` arrays; others
     live only in the walk, which leaves `grads` mapping each input of the
     pass (a tensor no step produced) to its gradient.  Each batchnorm step
-    is differentiated in the mode its forward ran in, which its record
-    holds, so a backward may run after the `set_mode` block that scoped
-    the forward has ended.
+    is differentiated in the mode its forward ran in and with the
+    statistics it used, which its record holds (an inference step a copy
+    of the running mean and its 1/std), so a backward may run after the
+    `set_mode` block that scoped the forward has ended, or after a training
+    forward has moved the running statistics.
 
-    A conv step keeps its input, never its im2col columns: those are freed
-    after the forward's gemm and rebuilt by the backward and by `replay`.
+    A conv step keeps its input, never its im2col columns: the forward
+    builds them in blocks of whole samples under `_COLS_BYTES`
+    (`_sample_blocks`), each freed after its block's gemm, and the backward
+    and `replay` rebuild them.
     A forward-only pass clears `recording` right after `Tape()`: `run`
     then executes each layer exactly as before but keeps no step, so every
     activation is freed as soon as nothing else holds it.  Such a tape
@@ -619,29 +655,35 @@ class Tape:
         The steps are indexed once per tape length: the last step that
         reads or makes each tensor, the steps whose params hold each array
         (by id; the steps keep the arrays alive), and the params and
-        recorded mode of each `BatchNormLayer` step (a layer that wraps one
+        recorded cache of each `BatchNormLayer` step (a layer that wraps one
         goes unchecked).  Every call raises `RuntimeError` if any of those
-        params is now in another mode than its step was recorded in, since
-        the replay runs in the current mode.  A batchnorm step recorded in
-        inference mode cannot rerun, so probing its gamma or beta raises
-        `RuntimeError` too.
+        params is now in another mode than its step was recorded in, or, for
+        a step recorded in inference mode, now holds running statistics other
+        than the ones it recorded, since the replay runs in the current mode
+        on the current statistics.  A batchnorm step recorded in inference
+        mode cannot rerun, so probing its gamma or beta raises `RuntimeError`
+        too.
         """
         if self._index[0] != len(self.steps):
-            last, holders, modes = {}, {}, []
+            last, holders, bns = {}, {}, []
             for s, (layer, xs, y, ctx) in enumerate(self.steps):
                 for t in (*xs, y):
                     last[t] = s
-                if isinstance(layer, BatchNormLayer):  # an inference forward records None
-                    modes.append((layer.params, "inference" if ctx[1] is None else "training"))
+                if isinstance(layer, BatchNormLayer):
+                    bns.append((layer.params, ctx[1]))
                 params = getattr(layer, "params", None)
                 for _, value, _ in params.learnables() if params is not None else ():
                     holders.setdefault(id(value), set()).add(s)
-            self._index = (len(self.steps), last, holders, modes)
-        _, last, holders, modes = self._index
-        for p, mode in modes:
+            self._index = (len(self.steps), last, holders, bns)
+        _, last, holders, bns = self._index
+        for p, (mean, istd, xhat) in bns:  # an inference forward records no xhat
+            mode = "inference" if xhat is None else "training"
             if p.mode != mode:
                 raise RuntimeError(f"replay: a batchnorm step recorded in {mode} mode "
                                    f"now has its params in {p.mode} mode")
+            if xhat is None and not all(map(np.array_equal, (mean, istd), _bn_running(p)[:2])):
+                raise RuntimeError("replay: a batchnorm step recorded in inference mode "
+                                   "now has other running statistics")
         keep = set(keep)
         P = len(probes)
         stacked = {}

@@ -1046,6 +1046,34 @@ def test_replay_of_an_inference_tape_refuses_to_probe_a_batchnorm_gamma():
     assert np.array_equal(gamma, orig)
 
 
+def _move_running_stats(net):
+    """One training forward on another image, which moves every running
+    statistic; returns a copy of them from before it."""
+    before = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in net.bn_params()]
+    with set_mode(net, "training"):
+        net.forward(helpers.random_image(TOY_SPEC, 7), Tape())
+    assert all(not np.array_equal(m, bn.running_mean)
+               for (m, _), bn in zip(before, net.bn_params()))
+    return before
+
+
+def test_replay_refuses_an_inference_step_whose_running_statistics_moved():
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 3)
+    image = helpers.random_image(TOY_SPEC, 4)
+    tape = Tape()
+    pyramid = net.forward(image, tape)
+    unchanged = [(0, image.data.flat[0])]  # a probe that changes nothing
+    got = tape.replay(image.data, unchanged, pyramid.levels)
+    assert all(np.array_equal(got[lvl].data, lvl.data) for lvl in pyramid.levels)
+    before = _move_running_stats(net)
+    with pytest.raises(RuntimeError, match="recorded in inference mode now has other running"):
+        tape.replay(image.data, unchanged, pyramid.levels)
+    for (mean, var), bn in zip(before, net.bn_params()):  # the guard compares on every call
+        bn.running_mean[:], bn.running_var[:] = mean, var
+    got = tape.replay(image.data, unchanged, pyramid.levels)
+    assert all(np.array_equal(got[lvl].data, lvl.data) for lvl in pyramid.levels)
+
+
 # -- gradients live only in the backward walk ----------------------------------------
 
 
@@ -1077,6 +1105,17 @@ def test_backward_differentiates_batchnorm_in_the_mode_its_forward_ran_in(cfg):
     assert all(np.array_equal(a, b) for a, b in zip(got, want_inference, strict=True))
     # the two modes' gradients differ, so each comparison can fail
     assert not all(np.array_equal(a, b) for a, b in zip(want, want_inference))
+
+
+def test_an_inference_tape_is_differentiated_with_the_statistics_its_forward_used():
+    net = build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 3)
+    image = helpers.random_image(TOY_SPEC, 4)
+    tape = Tape()
+    pyramid = net.forward(image, tape)
+    want = _seeded_backward(net, tape, image, pyramid)
+    _move_running_stats(net)
+    got = _seeded_backward(net, tape, image, pyramid)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_second_backward_on_one_tape_equals_the_first():

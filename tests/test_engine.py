@@ -9,13 +9,17 @@ import pytest
 import helpers
 from cbnet import (
     BatchNormParams,
+    CBNetConfig,
     ConfigError,
     ConvParams,
     ShapeError,
+    Tape,
     Tensor4,
     add,
     batchnorm,
     batchnorm_backward,
+    build_cbnet,
+    cbnet_forward,
     conv2d,
     conv2d_backward,
     global_avg_pool,
@@ -25,6 +29,7 @@ from cbnet import (
     maxpool2_backward,
     relu,
     relu_backward,
+    set_mode,
     upsample_nearest,
     upsample_nearest_backward,
 )
@@ -605,6 +610,70 @@ def test_bn_rerun_of_an_inference_record_is_refused_naming_the_mode():
     for _, arr, _ in layer.params.learnables():
         with pytest.raises(RuntimeError, match="recorded in inference mode"):
             layer.rerun(ctx, arr, arr[None])
+
+
+# -- conv columns in sample blocks ----------------------------------------------
+
+
+def _bits_in_blocks(monkeypatch, budgets, run):
+    """run()'s arrays under each `_COLS_BYTES` budget, as bytes."""
+    out = []
+    for budget in budgets:
+        monkeypatch.setattr("cbnet.engine._COLS_BYTES", budget)
+        out.append([a.tobytes() for a in run()])
+    return out
+
+
+@pytest.mark.parametrize("k, stride, pad", [(k, s, p) for k in (1, 3) for s in (1, 2)
+                                            for p in (0, 1)])
+def test_conv_columns_in_any_sample_blocks_keep_every_bit(monkeypatch, k, stride, pad):
+    # blocks of one sample, of two plus a remainder, and the whole batch
+    rng = np.random.default_rng(16)
+    c, hw = 3, 7
+    p = ConvParams(rng.standard_normal((4, c, k, k)), rng.standard_normal(4),
+                   stride=stride, pad=pad)
+    o = (hw + 2 * pad - k) // stride + 1
+    budgets = (1, 2 * c * k * k * o * o * 8, 1 << 62)
+    for n in (1, 3, 5):
+        x = Tensor4(rng.standard_normal((n, c, hw, hw)))
+        g = rng.standard_normal((n, 4, o, o))
+        got = _bits_in_blocks(monkeypatch, budgets,
+                              lambda: (conv2d(x, p).data, *conv2d_backward(x, p, g)))
+        assert got[1] == got[0] and got[2] == got[0]
+        # and each sample's output and input gradient are its own, as when it runs alone
+        y, gx = conv2d(x, p).data, conv2d_backward(x, p, g)[0]
+        for i in range(n):
+            one = Tensor4(x.data[i:i + 1])
+            assert conv2d(one, p).data.tobytes() == y[i:i + 1].tobytes()
+            assert conv2d_backward(one, p, g[i:i + 1])[0].tobytes() == gx[i:i + 1].tobytes()
+
+
+def test_a_full_size_pyramid_and_its_gradients_keep_every_bit_in_any_sample_blocks(
+        monkeypatch):
+    cfg = CBNetConfig(num_backbones=2)
+    image = Tensor4(np.random.default_rng(17).uniform(0.0, 1.0, (3, 3, *cfg.spec.image_size)))
+    stem = build_cbnet(cfg, 18).backbones[0].stem.conv.params
+    h, w = cfg.spec.image_size
+    stem_bytes = stem.c_in * stem.kernel ** 2 * h * w * 8  # the stem keeps the image size
+    # the stem in blocks of 2 + 1 at the middle budget, every conv per sample at 1
+    budgets = (1, 2 * stem_bytes, 1 << 62)
+
+    def forward_only():
+        return [lvl.data for lvl in cbnet_forward(build_cbnet(cfg, 18), image).levels]
+
+    def forward_and_backward():
+        net = build_cbnet(cfg, 18)
+        rng = np.random.default_rng(19)
+        with set_mode(net, "training"):
+            tape = Tape()
+            pyramid = net.forward(image, tape)
+        tape.backward([(lvl, rng.standard_normal(lvl.dims)) for lvl in pyramid.levels])
+        return ([lvl.data for lvl in pyramid.levels] + [tape.grads[image]]
+                + [grad for _, _, grad in net.unique_learnables()])
+
+    for run in (forward_only, forward_and_backward):
+        got = _bits_in_blocks(monkeypatch, budgets, run)
+        assert got[1] == got[0] and got[2] == got[0], run.__name__
 
 
 # -- gradient storage -----------------------------------------------------------

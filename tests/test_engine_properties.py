@@ -267,8 +267,8 @@ def test_batchnorm_writes_neither_its_input_nor_its_recorded_xhat(groups, n, c, 
     assert np.array_equal(inp.data, x0)
     xhat = inp.data if mode == "inference" else ctx[1][2]
     recorded = xhat.copy()
-    if mode == "inference":  # no normalized copy is recorded, only x itself
-        assert ctx[0] is inp and ctx[1] is None
+    if mode == "inference":  # no normalized copy is recorded, only x and the statistics
+        assert ctx[0] is inp and ctx[1][2] is None
     else:  # only a training forward is rerun: arr itself, then a copied stack of it
         for _, arr, _ in p.learnables():
             for variants in (arr[None], np.repeat(arr[None], 2, axis=0)):
