@@ -429,29 +429,28 @@ def model_gradcheck(net: CBNet, image: Tensor4, loss_seed=0) -> float:
     levels; every unique learned parameter and the input image are
     perturbed.  Batchnorm runs in training mode (the path the trainer
     uses), scoped by `set_mode`.  The recorded forward folds its batch
-    statistics into the running stats, and so does a shared layer's
-    per-probe forward, and the backward pass overwrites every gradient,
-    so the running stats and the gradients are snapshotted and restored.
+    statistics into the running stats, and the backward pass overwrites
+    every gradient, so the running stats and the gradients are
+    snapshotted and restored.  The replays fold nothing.
 
     The probes, the error and the stop rule are `engine._worst_error`'s,
     as in `engine.gradcheck`: inf after the first chunk with a non-finite
     analytic element or probe loss.  Its chunks are spread over forked
-    workers, up to one per usable CPU: what a worker's replays change (a
-    shared layer's folded statistics) is lost with it, and this check
-    restores that anyway.  Each chunk's probes replay the recorded tape
-    as one stack (`Tape.replay`, which finds the steps that read the
-    probed array): the stem runs once on a stack of perturbed images, and
-    a conv or batchnorm that reads a probed parameter reruns from its
-    recorded input (a conv builds its columns once per rerun) or its
-    recorded normalized input, once per sub-stack of probes
-    whose copies of the array fit `engine._VARIANT_BYTES` (one probe at a
-    time, written into the array itself, when one copy does not).  Its
-    forward runs per probe only if it hides its params, when every step
-    counts as a reader, or is shared and an earlier reader stacked its
-    input.  Ops that do not depend on the perturbed array keep their
-    recorded outputs, which is exactly what a fresh forward would compute,
-    since training-mode batchnorm outputs do not depend on the running
-    stats.
+    workers, up to one per usable CPU, whose replays change nothing in
+    the net.  Each chunk's probes replay the recorded tape as one stack
+    (`Tape.replay`, which finds the steps that read the probed array and
+    reads no batchnorm mode): the stem runs once on a stack of perturbed
+    images, and a conv or batchnorm that reads a probed parameter reruns
+    from its recorded input (a conv builds its columns once per rerun) or
+    its recorded normalized input, once per sub-stack of probes whose
+    copies of the array fit `engine._VARIANT_BYTES`, when at least two
+    fit.  Otherwise its forward runs once per probe, with the probe
+    written into the array itself: when fewer than two copies fit, when it
+    is shared and an earlier reader stacked its input, or when it hides
+    its params, so every step counts as a reader.  Ops that do not depend
+    on the perturbed array keep their recorded outputs, which is exactly
+    what a fresh forward would compute, since training-mode batchnorm
+    outputs do not depend on the running stats.
     """
     snapshot = [(a, a.copy()) for p in net.bn_params() for a in (p.running_mean, p.running_var)]
     snapshot += [(grad, grad.copy()) for _, _, grad in net.unique_learnables()]

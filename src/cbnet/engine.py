@@ -58,19 +58,19 @@ def _check_finite(kind, named):
 class Tensor4:
     """A (n, c, h, w) float64 array: a plain value that carries no gradient.
 
-    `group` is None except on a stack of probes built by `Tape.replay`,
-    where it is the batch size of one probe: training batchnorm then
-    normalizes each run of `group` samples on its own.
+    `group` is None except on a tensor `Tape.replay` passes to a layer,
+    where it is one probe's batch size: batchnorm then normalizes each run
+    of `group` samples on its own, in either mode, and folds nothing.
     """
 
     __slots__ = ("data", "group")
 
-    def __init__(self, data):
+    def __init__(self, data, group=None):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"Tensor4 needs 4 dims, got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
-        self.group = None
+        self.group = group
 
     @property
     def dims(self):
@@ -320,12 +320,12 @@ def _bn_normalize(x, p, group=None):
 
 
 def _bn_forward(x, p, group=None):
-    """Batchnorm of x and the cache its backward reads: (mu, istd, xhat)
-    in training mode, where a probe stack (`group` set) is normalized
-    group by group and never folds into the running statistics, and
-    `_bn_running(p)`, (mean, istd, None), in inference mode, which records
-    the statistics it used but no normalized copy."""
-    if p.mode == "inference":
+    """Batchnorm of x and the cache its backward reads: (mu, istd, xhat) in
+    training mode or for a grouped input (replay's, `group` set), which is
+    normalized group by group and never folds into the running statistics,
+    and `_bn_running(p)`, (mean, istd, None), in inference mode, which
+    records the statistics it used but no normalized copy."""
+    if p.mode == "inference" and group is None:
         cache = _bn_running(p)
         return _bn_scale_shift(x, p, *cache[:2]), cache
     mu, istd, xhat, var = _bn_normalize(x, p, group)
@@ -611,14 +611,14 @@ class Tape:
     A forward-only pass clears `recording` right after `Tape()`: `run`
     then executes each layer exactly as before but keeps no step, so every
     activation is freed as soon as nothing else holds it.  Such a tape
-    cannot be backpropagated.
+    can be neither backpropagated nor replayed.
     """
 
     def __init__(self):
         self.steps = []
         self.recording = True
         self.grads = {}
-        self._index = (0, {}, {}, [])
+        self._index = (0, {}, {}, False)
 
     def run(self, layer, *xs) -> Tensor4:
         y, ctx = layer.forward(*xs)
@@ -630,103 +630,94 @@ class Tape:
         """Re-run the steps that depend on arr for a stack of P probes,
         probe p setting arr.flat[i] = v for (i, v) = probes[p].
 
-        An input tensor of the pass that holds arr (the image) starts as a stack
-        of its P perturbed copies.  A step whose layer's params hold arr reruns
-        from its recorded context when its inputs are the recorded ones
-        (`layer.rerun`: a conv builds its columns once per call, a batchnorm,
-        recorded in training mode, reads its normalized input and moves no
-        statistic), for sub-stacks of b = max(1, min(P, _VARIANT_BYTES //
-        arr.nbytes)) probes: each a copy of arr with its probe's element set, arr
-        never written, or, when b is 1, arr itself with the probe written in place
-        and restored, so a large arr is never copied.
-        Otherwise it runs `forward` per probe on the probe's n-sample
-        slice of its inputs (a shared layer whose input is already
-        stacked, or a layer without `rerun`).  When neither a tensor nor
-        any step's params hold arr, the layers that read it hide their
-        params (a wrapping layer may), so every step counts as a reader
-        and runs per probe.  A step that reads a stacked output runs once
-        on the stack, its unchanged operands repeated P times; every
-        stack's `group` is n, so training batchnorm normalizes each probe
-        on its own.  Other steps keep their recorded outputs, and when no
-        input tensor holds arr the walk starts at the first reader.
+        An input tensor of the pass that holds arr (the image) starts as a
+        stack of its P perturbed copies.  A reader of arr, a step whose
+        layer's params hold it, reruns from its recorded context
+        (`layer.rerun`: a conv builds its columns once per call, a batchnorm
+        reads the normalized input its training forward recorded) when its
+        inputs are the recorded ones and b = min(P, _VARIANT_BYTES //
+        arr.nbytes) is at least 2, for sub-stacks of b probes, each a copy
+        of arr with its probe's element set; arr is never written.
+        Otherwise it runs `forward` once per probe, on the probe's n-sample
+        slice of its inputs, with the probe written into arr and restored,
+        so a large arr is never copied.  When neither a tensor nor any
+        step's params hold arr, the layers that read it hide their params
+        (a wrapping layer may), so every step counts as a reader and runs
+        `forward` per probe.  A step that reads a stacked output runs once
+        on the stack, its unchanged operands repeated P times.  Other steps
+        keep their recorded outputs, and when no input tensor holds arr the
+        walk starts at the first reader.
+
+        Every tensor passed to a `forward` has `group` n, so batchnorm
+        normalizes each probe's samples on their own with their batch
+        statistics and folds nothing: a replay reads no batchnorm mode and
+        no running statistic.  It raises `RuntimeError` on a tape that
+        recorded nothing, or that holds a `BatchNormLayer` step recorded in
+        inference mode, which a grouped forward does not reproduce (a layer
+        that wraps one goes unchecked).
 
         Returns {recorded output: stacked output} for the outputs in
         `keep`; any other stacked output is dropped after its last reader.
         The steps are indexed once per tape length: the last step that
         reads or makes each tensor, the steps whose params hold each array
-        (by id; the steps keep the arrays alive), and the params and
-        recorded cache of each `BatchNormLayer` step (a layer that wraps one
-        goes unchecked).  Every call raises `RuntimeError` if any of those
-        params is now in another mode than its step was recorded in, or, for
-        a step recorded in inference mode, now holds running statistics other
-        than the ones it recorded, since the replay runs in the current mode
-        on the current statistics.  A batchnorm step recorded in inference
-        mode cannot rerun, so probing its gamma or beta raises `RuntimeError`
-        too.
+        (by id; the steps keep the arrays alive), and whether a
+        `BatchNormLayer` step was recorded in inference mode.
         """
+        if not self.recording:
+            raise RuntimeError("replay on a tape that recorded nothing "
+                               "(its recording flag is off)")
         if self._index[0] != len(self.steps):
-            last, holders, bns = {}, {}, []
+            last, holders, inference = {}, {}, False
             for s, (layer, xs, y, ctx) in enumerate(self.steps):
                 for t in (*xs, y):
                     last[t] = s
-                if isinstance(layer, BatchNormLayer):
-                    bns.append((layer.params, ctx[1]))
+                # an inference forward records no normalized input
+                inference |= isinstance(layer, BatchNormLayer) and ctx[1][2] is None
                 params = getattr(layer, "params", None)
                 for _, value, _ in params.learnables() if params is not None else ():
                     holders.setdefault(id(value), set()).add(s)
-            self._index = (len(self.steps), last, holders, bns)
-        _, last, holders, bns = self._index
-        for p, (mean, istd, xhat) in bns:  # an inference forward records no xhat
-            mode = "inference" if xhat is None else "training"
-            if p.mode != mode:
-                raise RuntimeError(f"replay: a batchnorm step recorded in {mode} mode "
-                                   f"now has its params in {p.mode} mode")
-            if xhat is None and not all(map(np.array_equal, (mean, istd), _bn_running(p)[:2])):
-                raise RuntimeError("replay: a batchnorm step recorded in inference mode "
-                                   "now has other running statistics")
+            self._index = (len(self.steps), last, holders, inference)
+        _, last, holders, inference = self._index
+        if inference:
+            raise RuntimeError("replay: a batchnorm step was recorded in inference mode")
         keep = set(keep)
         P = len(probes)
         stacked = {}
         for t in last:
             if t.data is arr:
-                stacked[t] = Tensor4(_probe_copies(arr, probes).reshape(-1, *arr.shape[1:]))
-                stacked[t].group = len(arr)
-        readers = holders.get(id(arr)) or (() if stacked else range(len(self.steps)))
+                stacked[t] = Tensor4(_probe_copies(arr, probes).reshape(-1, *arr.shape[1:]),
+                                     len(arr))
+        held = holders.get(id(arr), ())
+        readers = held or (() if stacked else range(len(self.steps)))
         # with no stacked input, nothing before the first reader changes
         first = 0 if stacked else min(readers, default=0)
 
-        def probe_slice(t, p):
-            st = stacked.get(t)
-            if st is None:
-                return t
-            n = len(t.data)
-            return Tensor4(st.data[p * n:(p + 1) * n])
+        def probe_input(t, p):  # the recorded t, or probe p's slice of its stack
+            n, st = len(t.data), stacked.get(t)
+            return Tensor4(t.data if st is None else st.data[p * n:(p + 1) * n], n)
 
         for s in range(first, len(self.steps)):
             layer, xs, y, ctx = self.steps[s]
             is_stacked = any(x in stacked for x in xs)
             if s in readers:
-                rerun = None if is_stacked else getattr(layer, "rerun", None)
-                b = max(1, min(P, _VARIANT_BYTES // arr.nbytes)) if rerun else 1
                 out = np.empty((P, *y.dims))
-                for lo in range(0, P, b):
-                    part = probes[lo:lo + b]
-                    if b == 1:  # the probe is written into arr, so a large arr is never copied
-                        (i, v), = part
+                b = min(P, _VARIANT_BYTES // arr.nbytes)
+                if s in held and not is_stacked and b >= 2:
+                    for lo in range(0, P, b):
+                        out[lo:lo + b] = layer.rerun(
+                            ctx, arr, _probe_copies(arr, probes[lo:lo + b]))
+                else:
+                    for p, (i, v) in enumerate(probes):
                         orig, arr.flat[i] = arr.flat[i], v
-                    try:
-                        if rerun is None:
-                            out[lo] = layer.forward(*(probe_slice(x, lo) for x in xs))[0].data
-                        else:  # b > 1: a copy of arr per probe, and arr is never written
-                            out[lo:lo + b] = rerun(
-                                ctx, arr, arr[None] if b == 1 else _probe_copies(arr, part))
-                    finally:
-                        if b == 1:
+                        try:
+                            out[p] = layer.forward(*(probe_input(x, p) for x in xs))[0].data
+                        finally:
                             arr.flat[i] = orig
                 out = Tensor4(out.reshape(-1, *y.dims[1:]))
             elif is_stacked:
                 out, _ = layer.forward(*(
-                    stacked[x] if x in stacked else Tensor4(np.tile(x.data, (P, 1, 1, 1)))
+                    stacked[x] if x in stacked else Tensor4(np.tile(x.data, (P, 1, 1, 1)),
+                                                            len(x.data))
                     for x in xs))
             else:
                 continue

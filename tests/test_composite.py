@@ -763,32 +763,35 @@ def test_replay_reruns_a_reader_once_per_sub_stack_the_variant_bound_allows(b, m
 
 @pytest.mark.parametrize("over", [True, False], ids=["over-the-bound", "under-the-bound"])
 def test_replay_variants_are_arr_itself_only_over_the_bound(over, monkeypatch):
-    # over the bound, one variant per rerun: arr[None], the probe written into
-    # arr and taken back out; under it, a copy per probe and arr never written
+    # over the bound, the reader runs `forward` once per probe with the probe
+    # written into arr and taken back out; under it, `rerun` gets a copy per
+    # probe and arr is never written
     _, _, tape, pyramid, cases = _lead_parameter_readers()
     for what, arr, reader in cases:
         probes = [(0, arr.flat[0] + 0.5), (arr.size - 1, arr.flat[-1] - 0.25)]
         orig = arr.copy()
-        seen = []
-        rerun = type(reader).rerun
+        seen = []  # arr at each spied call, and under the bound rerun's variants
+        name = "forward" if over else "rerun"
+        run = getattr(type(reader), name)
 
-        def spy(self, ctx, a, variants):
+        def spy(self, *args):
             if self is reader:
-                seen.append((np.shares_memory(variants, arr), arr.copy(), variants.copy()))
-            return rerun(self, ctx, a, variants)
+                seen.append((arr.copy(), None if over else args[2].copy(),
+                             not over and np.shares_memory(args[2], arr)))
+            return run(self, *args)
 
         monkeypatch.setattr(engine, "_VARIANT_BYTES", arr.nbytes - 1 if over else 2 * arr.nbytes)
-        monkeypatch.setattr(type(reader), "rerun", spy)
+        monkeypatch.setattr(type(reader), name, spy)
         tape.replay(arr, probes, pyramid.levels)
         assert np.array_equal(arr, orig), what
         if over:
             assert len(seen) == len(probes), what
-            for (shared, at_call, variants), (i, v) in zip(seen, probes):
-                assert shared and np.array_equal(variants[0], at_call), what
+            for (at_call, _, _), (i, v) in zip(seen, probes):
+                assert at_call.flat[i] == v, what
                 at_call.flat[i] = orig.flat[i]
-                assert variants[0].flat[i] == v and np.array_equal(at_call, orig), what
+                assert np.array_equal(at_call, orig), what
         else:
-            ((shared, at_call, variants),) = seen
+            ((at_call, variants, shared),) = seen
             assert not shared and np.array_equal(at_call, orig), what
             for row, (i, v) in zip(variants, probes):
                 assert row.flat[i] == v, what
@@ -798,18 +801,21 @@ def test_replay_variants_are_arr_itself_only_over_the_bound(over, monkeypatch):
 
 
 @pytest.mark.parametrize("over", [True, False], ids=["over-the-bound", "under-the-bound"])
-def test_replay_restores_arr_when_a_rerun_raises(over, monkeypatch):
+def test_replay_restores_arr_when_a_reader_raises(over, monkeypatch):
+    # over the bound the reader's failing call is a `forward` with a probe
+    # written into arr, under it a `rerun` on copies
     _, _, tape, pyramid, cases = _lead_parameter_readers()
     for what, arr, reader in cases:
         probes = [(0, arr.flat[0] + 0.5), (arr.size - 1, arr.flat[-1] - 0.25)]
         orig = arr.copy()
+        name = "forward" if over else "rerun"
 
-        def failing(self, ctx, a, variants):
-            raise RuntimeError("rerun failed")
+        def failing(self, *args):
+            raise RuntimeError(f"{name} failed")
 
         monkeypatch.setattr(engine, "_VARIANT_BYTES", arr.nbytes - 1 if over else 2 * arr.nbytes)
-        monkeypatch.setattr(type(reader), "rerun", failing)
-        with pytest.raises(RuntimeError, match="^rerun failed$"):
+        monkeypatch.setattr(type(reader), name, failing)
+        with pytest.raises(RuntimeError, match=f"^{name} failed$"):
             tape.replay(arr, probes, pyramid.levels)
         assert np.array_equal(arr, orig), what
         monkeypatch.undo()
@@ -984,6 +990,23 @@ def test_model_gradcheck_is_unchanged_when_layers_hide_their_params(kw, monkeypa
     assert len(calls) == len(tape.steps) * len(probes)
 
 
+@pytest.mark.parametrize("stand_in", [np.copy, np.zeros_like], ids=["copy", "zeros"])
+def test_replay_of_an_array_no_step_holds_leaves_the_outputs_as_recorded(stand_in):
+    # every step counts as a reader and runs `forward` per probe; none reruns
+    # with the stand-in as its own parameter
+    net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.AHLC, spec=TOY_SPEC), 1)
+    image = helpers.random_image(TOY_SPEC, 0)
+    arr = stand_in(net.backbones[0].stem.conv.params.weight.data)
+    with set_mode(net, "training"):
+        tape = Tape()
+        pyramid = net.forward(image, tape)
+    probes = [(0, arr.flat[0]), (arr.size - 1, arr.flat[-1])]  # probes that change nothing
+    stacked = tape.replay(arr, probes, pyramid.levels)
+    assert stacked.keys() == set(pyramid.levels)
+    for lvl in pyramid.levels:
+        assert np.array_equal(stacked[lvl].data, np.tile(lvl.data, (len(probes), 1, 1, 1)))
+
+
 def test_replay_reindexes_a_tape_that_grew():
     net = build_cbnet(CBNetConfig(num_backbones=2, style=CompositeStyle.DHLC, spec=NARROW), 33)
     image = helpers.random_image(NARROW, 34)
@@ -991,12 +1014,13 @@ def test_replay_reindexes_a_tape_that_grew():
     head = engine.Conv2dLayer(ConvParams(rng.standard_normal((3, 2, 1, 1)), np.zeros(3)))
     weight = head.params.weight.data
     cases = [(image.data, [(5, 0.25), (9, -0.5)]), (weight, [(1, 0.5), (4, -0.25)])]
-    tape = Tape()
-    pyramid = net.forward(image, tape)
+    with set_mode(net, "training"):  # a tape with an inference batchnorm step is refused
+        tape = Tape()
+        pyramid = net.forward(image, tape)
+        fresh = Tape()
+        fresh_y = fresh.run(head, net.forward(image, fresh).last)
     tape.replay(image.data, cases[0][1], pyramid.levels)  # indexes the net's steps only
     y = tape.run(head, pyramid.last)
-    fresh = Tape()
-    fresh_y = fresh.run(head, net.forward(image, fresh).last)
     for arr, probes in cases:
         got, want = tape.replay(arr, probes, [y]), fresh.replay(arr, probes, [fresh_y])
         assert np.array_equal(got[y].data, want[fresh_y].data)
@@ -1013,26 +1037,41 @@ def _two_probes(arr):
     return [(0, arr.flat[0] + 0.25), (1, arr.flat[1] - 0.5)]
 
 
-def test_replay_refuses_a_batchnorm_step_whose_params_left_its_recorded_mode():
+def test_replay_after_the_set_mode_block_equals_the_replay_inside_it():
+    # a replay reads no batchnorm mode: it normalizes every probe as training does
     net = build_cbnet(CBNetConfig(num_backbones=2, share_weights=True, spec=TOY_SPEC), 31)
     image = helpers.random_image(TOY_SPEC, 32)
+    gamma, weight = _shared_gamma_and_weight(net)
+    arrays = (weight, gamma, image.data)
+    with set_mode(net, "training"):
+        tape = Tape()
+        pyramid = net.forward(image, tape)
+        inside = [tape.replay(arr, _two_probes(arr), pyramid.levels) for arr in arrays]
+    assert {p.mode for p in net.bn_params()} == {"inference"}
+    for arr, want in zip(arrays, inside):
+        got = tape.replay(arr, _two_probes(arr), pyramid.levels)
+        assert want and got.keys() == want.keys()
+        assert all(np.array_equal(got[lvl].data, want[lvl].data) for lvl in want)
+
+
+def _bn_stats(net):
+    return [a.copy() for p in net.bn_params() for a in (p.running_mean, p.running_var)]
+
+
+def test_replay_leaves_every_running_statistic_as_it_was():
+    # a shared batchnorm whose input an earlier reader stacked runs `forward`
+    # per probe, on a grouped slice, which folds nothing
+    net = build_cbnet(CBNetConfig(num_backbones=2, share_weights=True, spec=TOY_SPEC), 31)
+    image = Tensor4(np.random.default_rng(32).uniform(
+        0.0, 1.0, (2, TOY_SPEC.in_channels, *TOY_SPEC.image_size)))
     gamma, weight = _shared_gamma_and_weight(net)
     with set_mode(net, "training"):
         tape = Tape()
         pyramid = net.forward(image, tape)
-        inside = tape.replay(weight, _two_probes(weight), pyramid.levels)
-    for arr in (weight, gamma, image.data):
-        with pytest.raises(RuntimeError, match="recorded in training mode .* inference mode"):
+        before = _bn_stats(net)
+        for arr in (weight, gamma, image.data):
             tape.replay(arr, _two_probes(arr), pyramid.levels)
-    with set_mode(net, "training"):  # the guard compares the modes on every call
-        again = tape.replay(weight, _two_probes(weight), pyramid.levels)
-    assert all(np.array_equal(inside[lvl].data, again[lvl].data) for lvl in inside)
-    tape = Tape()
-    pyramid = net.forward(image, tape)
-    tape.replay(weight, _two_probes(weight), pyramid.levels)
-    with set_mode(net, "training"), pytest.raises(
-            RuntimeError, match="recorded in inference mode .* training mode"):
-        tape.replay(weight, _two_probes(weight), pyramid.levels)
+            assert all(np.array_equal(a, b) for a, b in zip(_bn_stats(net), before))
 
 
 def test_replay_of_an_inference_tape_refuses_to_probe_a_batchnorm_gamma():
@@ -1057,21 +1096,17 @@ def _move_running_stats(net):
     return before
 
 
-def test_replay_refuses_an_inference_step_whose_running_statistics_moved():
+def test_replay_refuses_an_inference_tape_before_and_after_its_running_statistics_move():
     net = build_cbnet(CBNetConfig(num_backbones=2, spec=TOY_SPEC), 3)
     image = helpers.random_image(TOY_SPEC, 4)
     tape = Tape()
     pyramid = net.forward(image, tape)
     unchanged = [(0, image.data.flat[0])]  # a probe that changes nothing
-    got = tape.replay(image.data, unchanged, pyramid.levels)
-    assert all(np.array_equal(got[lvl].data, lvl.data) for lvl in pyramid.levels)
-    before = _move_running_stats(net)
-    with pytest.raises(RuntimeError, match="recorded in inference mode now has other running"):
+    with pytest.raises(RuntimeError, match="batchnorm step was recorded in inference mode"):
         tape.replay(image.data, unchanged, pyramid.levels)
-    for (mean, var), bn in zip(before, net.bn_params()):  # the guard compares on every call
-        bn.running_mean[:], bn.running_var[:] = mean, var
-    got = tape.replay(image.data, unchanged, pyramid.levels)
-    assert all(np.array_equal(got[lvl].data, lvl.data) for lvl in pyramid.levels)
+    _move_running_stats(net)
+    with pytest.raises(RuntimeError, match="batchnorm step was recorded in inference mode"):
+        tape.replay(image.data, unchanged, pyramid.levels)
 
 
 # -- gradients live only in the backward walk ----------------------------------------

@@ -229,13 +229,16 @@ def _bn_case(rng, n, c, h, w, mode):
 
 @PROPERTY
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
-       st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
-def test_grouped_training_batchnorm_equals_one_call_per_group(groups, n, c, h, w, seed):
+       st.integers(1, 5), st.sampled_from(["training", "inference"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_grouped_batchnorm_in_either_mode_equals_one_training_call_per_group(
+        groups, n, c, h, w, mode, seed):
     rng = np.random.default_rng(seed)
-    x, p = _bn_case(rng, groups * n, c, h, w, "training")
+    x, p = _bn_case(rng, groups * n, c, h, w, mode)
     mean0, var0 = p.running_mean.copy(), p.running_var.copy()
     y, (mu, istd, xhat) = _bn_forward(x, p, group=n)
     assert np.array_equal(p.running_mean, mean0) and np.array_equal(p.running_var, var0)
+    p.mode = "training"
     for g in range(groups):
         rows = slice(g * n, (g + 1) * n)
         want_y, (want_mu, want_istd, want_xhat) = _bn_forward(x[rows], p)
@@ -265,11 +268,12 @@ def test_batchnorm_writes_neither_its_input_nor_its_recorded_xhat(groups, n, c, 
     layer = BatchNormLayer(p)
     y, ctx = layer.forward(inp)
     assert np.array_equal(inp.data, x0)
-    xhat = inp.data if mode == "inference" else ctx[1][2]
+    normalized = mode == "training" or stacked  # a grouped input is normalized in either mode
+    xhat = ctx[1][2] if normalized else inp.data
     recorded = xhat.copy()
-    if mode == "inference":  # no normalized copy is recorded, only x and the statistics
+    if not normalized:  # no normalized copy is recorded, only x and the statistics
         assert ctx[0] is inp and ctx[1][2] is None
-    else:  # only a training forward is rerun: arr itself, then a copied stack of it
+    else:  # only a normalized forward is rerun: arr itself, then a copied stack of it
         for _, arr, _ in p.learnables():
             for variants in (arr[None], np.repeat(arr[None], 2, axis=0)):
                 assert all(np.array_equal(row, y.data)

@@ -102,15 +102,18 @@ def test_backbone_forward_equals_recording_forward():
     assert all(np.array_equal(a.data, b.data) for a, b in zip(got, want))
 
 
-def test_non_recording_tape_keeps_no_step_and_refuses_backward():
+def test_non_recording_tape_keeps_no_step_and_refuses_backward_and_replay():
     net = build_cbnet(CBNetConfig(spec=TOY_SPEC, **CONFIGS["plain"]), 6)
     tape = Tape()
     assert tape.recording
     tape.recording = False
     pyramid = net.forward(helpers.random_image(TOY_SPEC, 7), tape)
     assert tape.steps == []
-    with pytest.raises(RuntimeError, match="recorded nothing"):
+    with pytest.raises(RuntimeError, match="^backward on a tape that recorded nothing"):
         tape.backward([(pyramid.last, np.ones(pyramid.last.dims))])
+    bias = net.backbones[0].stem.conv.params.bias
+    with pytest.raises(RuntimeError, match="^replay on a tape that recorded nothing"):
+        tape.replay(bias, [(0, bias[0] + 1.0)], pyramid.levels)
 
 
 @pytest.mark.parametrize("kw", [CONFIGS["plain"], CONFIGS["accelerated"]],
